@@ -36,7 +36,7 @@ bench-diff: ## report the delta between the last two committed BENCH_*.json
 cover: ## -race suite + per-package coverage + the server+tenant gate
 	./scripts/coverage.sh
 
-ring-demo: ## 3-replica consistent-hash ring smoke: plan via A, cache hit via B
+ring-demo: ## 3-replica escrow fleet smoke: local plans, trace across a lease call, eviction/re-admission, owner-crash lease reclaim
 	./scripts/ring-demo.sh
 
 # cover subsumes test (its single -race run is both gates), so ci does not

@@ -1,15 +1,12 @@
 // Package client is the importable Go client for chronosd. It speaks every
-// /v1 endpoint with typed requests and responses, decodes the unified error
-// envelope into *client.Error, and — given the fleet's replica URLs — hashes
-// plan keys locally on the same consistent-hash ring the servers use, so
-// single-plan and admission requests go straight to the owning replica
-// instead of paying a server-side forward hop.
+// /v1 endpoint with typed requests and responses and decodes the unified
+// error envelope into *client.Error.
 //
-// Client-side routing is a fast path, not a correctness requirement: the
-// servers verify ownership on every request and forward at most one hop, so
-// a stale fleet view or a tenant-routed request whose econ defaults the
-// client cannot see merely costs that hop. Keyless endpoints (batch,
-// simulate, replay) are spread round-robin across the fleet.
+// Given several replica URLs it spreads requests round-robin across the
+// fleet and fails over to the next replica when one cannot be reached.
+// Every replica answers every request itself — a plan is a pure function of
+// the job, and tenant budgets stay fleet-exact through the servers' escrow
+// leases — so the client needs no knowledge of fleet membership.
 package client
 
 import (
@@ -26,15 +23,12 @@ import (
 	"sync/atomic"
 
 	"chronos"
-	"chronos/internal/plankey"
-	"chronos/internal/ring"
 )
 
 // Client talks to one chronosd replica or a fleet of them. Safe for
 // concurrent use.
 type Client struct {
 	replicas []string
-	ring     *ring.Ring // nil for a single replica (no client-side routing)
 	http     *http.Client
 	rr       atomic.Uint64
 }
@@ -46,17 +40,6 @@ type Option func(*Client)
 // doubles). The default is http.DefaultClient.
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) { c.http = h }
-}
-
-// WithVirtualNodes overrides the per-replica virtual-node count of the
-// client-side ring. It must match the fleet's -ring-vnodes for client-side
-// routing to agree with the servers; the default matches the server default.
-func WithVirtualNodes(n int) Option {
-	return func(c *Client) {
-		if len(c.replicas) > 1 {
-			c.ring = ring.New(c.replicas, n)
-		}
-	}
 }
 
 // New returns a client for a single chronosd instance at baseURL (e.g.
@@ -71,11 +54,9 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// NewFleet returns a client that routes across a sharded fleet: plan-keyed
-// requests go to the ring owner of their key, everything else round-robins.
-// The replica URLs must be the fleet's advertised base URLs (the servers'
-// -self values), or ownership will not line up and every request pays a
-// forward hop.
+// NewFleet returns a client that spreads requests round-robin across the
+// given replicas, failing over to the next one on transport errors (see
+// send).
 func NewFleet(replicas []string, opts ...Option) (*Client, error) {
 	cleaned := make([]string, 0, len(replicas))
 	for _, r := range replicas {
@@ -88,9 +69,6 @@ func NewFleet(replicas []string, opts ...Option) (*Client, error) {
 		return nil, errors.New("client: at least one replica URL is required")
 	}
 	c := &Client{replicas: cleaned, http: http.DefaultClient}
-	if len(cleaned) > 1 {
-		c.ring = ring.New(cleaned, 0)
-	}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -197,8 +175,7 @@ type AdmitBatchJob struct {
 }
 
 // AdmitBatchRequest asks for admission decisions for several same-tenant
-// jobs, settled against the tenant's budget in one ledger debit per server
-// contacted.
+// jobs, settled against the tenant's budget in one ledger debit.
 type AdmitBatchRequest struct {
 	Tenant string          `json:"tenant"`
 	Jobs   []AdmitBatchJob `json:"jobs"`
@@ -272,145 +249,47 @@ type ReplayRequest struct {
 
 // --- endpoint methods -----------------------------------------------------
 
-// Plan asks for one job's plan, routed client-side to the ring owner of its
-// plan key, failing over to the key's ring successors on transport errors
-// (the replicas that hold the key's warm copies when the fleet runs with a
-// replication factor).
+// Plan asks for one job's plan.
 func (c *Client) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
 	var resp PlanResponse
-	if err := c.postPlanKeyed(ctx, req.Strategy, req.Job, req.Econ, "/v1/plan", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/plan", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// Admit asks for an online admission decision, routed like Plan (the
-// servers key admission by the same plan key).
+// Admit asks for an online admission decision.
 func (c *Client) Admit(ctx context.Context, req AdmitRequest) (*AdmitResponse, error) {
 	var resp AdmitResponse
-	if err := c.postPlanKeyed(ctx, req.Strategy, req.Job, req.Econ, "/v1/admit", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/admit", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// postPlanKeyed posts a plan-keyed request to its ring owner, retrying the
-// key's next ring successors on transport errors. An HTTP-level error
-// (*Error) is a live replica's answer and is returned as-is; only a replica
-// we could not talk to at all triggers failover, and a dead context stops
-// the walk (the caller gave up, not the replica).
-func (c *Client) postPlanKeyed(ctx context.Context, strategy string, job chronos.JobParams, econ chronos.Econ, path string, req, resp any) error {
-	targets := c.planTargets(strategy, job, econ)
-	var err error
-	for _, base := range targets {
-		err = c.postJSON(ctx, base, path, req, resp)
-		var httpErr *Error
-		if err == nil || errors.As(err, &httpErr) || ctx.Err() != nil {
-			return err
-		}
-	}
-	return err
-}
-
-// planTargets resolves the replicas for a plan-keyed request in preference
-// order: the ring owner of the key followed by its successors (the fleet's
-// replica set for the key). Requests whose key cannot be computed (unknown
-// strategy name — the server will answer 400 anyway) and single-replica
-// clients get one round-robin target.
-func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chronos.Econ) []string {
-	if c.ring == nil {
-		return c.replicas[:1:1]
-	}
-	canon, ok := plankey.CanonicalStrategy(strategy)
-	if !ok {
-		return []string{c.next()}
-	}
-	// Two targets: the owner plus its first successor. Matches the smallest
-	// useful server-side replication factor; with R = 1 the successor still
-	// answers correctly (one forward hop or a local fallback).
-	if targets := c.ring.Successors(plankey.Key(canon, job, econ), 2); len(targets) > 0 {
-		return targets
-	}
-	return []string{c.next()}
-}
-
-// AdmitBatch asks for admission decisions for several same-tenant jobs.
-// Against a fleet it groups the jobs by the ring owner of their plan key and
-// posts one sub-batch per owning replica — each sub-batch is decided on the
-// replica whose cache holds its plans and settled in a single ledger debit —
-// then reassembles the per-job results in input order. BudgetRemaining in
-// the merged response is the lowest level any contacted replica reported
-// (the most conservative fleet view). The first transport or HTTP error
-// aborts the whole call; jobs in sub-batches already decided by then may
-// have been admitted and debited.
+// AdmitBatch asks for admission decisions for several same-tenant jobs,
+// decided by one replica and settled in a single ledger debit.
 func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitBatchResponse, error) {
-	if c.ring == nil || len(req.Jobs) == 0 {
-		var resp AdmitBatchResponse
-		if err := c.postJSON(ctx, c.replicas[0], "/v1/admit/batch", req, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
+	var resp AdmitBatchResponse
+	if err := c.postJSON(ctx, "/v1/admit/batch", req, &resp); err != nil {
+		return nil, err
 	}
-	// Group job indices by owning replica, preserving input order per group.
-	groups := make(map[string][]int)
-	var order []string
-	for i, j := range req.Jobs {
-		base := c.planTarget(j.Strategy, j.Job, req.Econ)
-		if _, seen := groups[base]; !seen {
-			order = append(order, base)
-		}
-		groups[base] = append(groups[base], i)
-	}
-	merged := &AdmitBatchResponse{
-		Tenant:  req.Tenant,
-		Results: make([]AdmitBatchResult, len(req.Jobs)),
-	}
-	first := true
-	for _, base := range order {
-		idxs := groups[base]
-		sub := AdmitBatchRequest{
-			Tenant: req.Tenant,
-			Jobs:   make([]AdmitBatchJob, 0, len(idxs)),
-			Econ:   req.Econ,
-		}
-		for _, i := range idxs {
-			sub.Jobs = append(sub.Jobs, req.Jobs[i])
-		}
-		var resp AdmitBatchResponse
-		if err := c.postJSON(ctx, base, "/v1/admit/batch", sub, &resp); err != nil {
-			return nil, err
-		}
-		if len(resp.Results) != len(idxs) {
-			return nil, fmt.Errorf("chronosd: admit batch: replica %s answered %d results for %d jobs",
-				base, len(resp.Results), len(idxs))
-		}
-		for k, i := range idxs {
-			merged.Results[i] = resp.Results[k]
-		}
-		merged.Admitted += resp.Admitted
-		if first || resp.BudgetRemaining < merged.BudgetRemaining {
-			merged.BudgetRemaining = resp.BudgetRemaining
-		}
-		first = false
-	}
-	return merged, nil
+	return &resp, nil
 }
 
-// PlanBatch plans a shared-budget batch on the next replica in round-robin
-// order (a batch spans many plan keys, so there is no single owner).
+// PlanBatch plans a shared-budget batch.
 func (c *Client) PlanBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	var resp BatchResponse
-	if err := c.postJSON(ctx, c.next(), "/v1/plan/batch", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/plan/batch", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// Simulate runs a what-if simulation on the next replica in round-robin
-// order.
+// Simulate runs a what-if simulation.
 func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
 	var resp SimulateResponse
-	if err := c.postJSON(ctx, c.next(), "/v1/simulate", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/simulate", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -440,7 +319,7 @@ func (c *Client) Tradeoff(ctx context.Context, strategy string, job chronos.JobP
 		q.Set("maxR", strconv.Itoa(maxR))
 	}
 	var resp TradeoffResponse
-	if err := c.getJSON(ctx, c.next(), "/v1/tradeoff?"+q.Encode(), &resp); err != nil {
+	if err := c.getJSON(ctx, "/v1/tradeoff?"+q.Encode(), &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -455,13 +334,9 @@ func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*ch
 	if err != nil {
 		return nil, err
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.next()+"/v1/replay", bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(ctx, func(base string) (*http.Request, error) {
+		return jsonRequest(ctx, base+"/v1/replay", raw)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -496,14 +371,12 @@ func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*ch
 	return summary, nil
 }
 
-// Metrics fetches one replica's Prometheus exposition text (the first
-// replica unless the round-robin cursor says otherwise).
+// Metrics fetches one replica's Prometheus exposition text: the next
+// replica in round-robin order that can be reached.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.next()+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(ctx, func(base string) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -520,55 +393,62 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 
 // --- transport ------------------------------------------------------------
 
-// planTarget resolves the replica that owns a plan-keyed request; requests
-// the key cannot be computed for (unknown strategy name — the server will
-// answer 400 anyway) and single-replica clients fall back to round-robin.
-func (c *Client) planTarget(strategy string, job chronos.JobParams, econ chronos.Econ) string {
-	if c.ring == nil {
-		return c.replicas[0]
+// send issues one request, built afresh for each attempt by build, to the
+// next replica in round-robin order, failing over to the following replicas
+// when one cannot be reached at all. Any HTTP answer — an error status
+// included — is a live replica's and is returned as is; a dead context
+// stops the walk (the caller gave up, not the replica). A transport error
+// can also mean the connection dropped after the replica acted, so a
+// failed-over admit may debit twice; callers that cannot tolerate that
+// should talk to a single replica.
+func (c *Client) send(ctx context.Context, build func(base string) (*http.Request, error)) (*http.Response, error) {
+	start := c.rr.Add(1) - 1
+	var err error
+	for i := range uint64(len(c.replicas)) {
+		var req *http.Request
+		if req, err = build(c.replicas[(start+i)%uint64(len(c.replicas))]); err != nil {
+			return nil, err
+		}
+		var resp *http.Response
+		if resp, err = c.http.Do(req); err == nil {
+			return resp, nil
+		}
+		if ctx.Err() != nil {
+			break
+		}
 	}
-	canon, ok := plankey.CanonicalStrategy(strategy)
-	if !ok {
-		return c.next()
-	}
-	owner, ok := c.ring.Owner(plankey.Key(canon, job, econ))
-	if !ok {
-		return c.next()
-	}
-	return owner
+	return nil, err
 }
 
-// next returns the round-robin replica for keyless requests.
-func (c *Client) next() string {
-	if len(c.replicas) == 1 {
-		return c.replicas[0]
+// jsonRequest builds a POST of a JSON body.
+func jsonRequest(ctx context.Context, url string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	return c.replicas[(c.rr.Add(1)-1)%uint64(len(c.replicas))]
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
 }
 
-func (c *Client) postJSON(ctx context.Context, base, path string, req, resp any) error {
+func (c *Client) postJSON(ctx context.Context, path string, req, resp any) error {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	return c.do(httpReq, resp)
+	return c.do(ctx, func(base string) (*http.Request, error) {
+		return jsonRequest(ctx, base+path, raw)
+	}, resp)
 }
 
-func (c *Client) getJSON(ctx context.Context, base, pathAndQuery string, resp any) error {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+pathAndQuery, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(httpReq, resp)
+func (c *Client) getJSON(ctx context.Context, pathAndQuery string, resp any) error {
+	return c.do(ctx, func(base string) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, base+pathAndQuery, nil)
+	}, resp)
 }
 
-func (c *Client) do(req *http.Request, resp any) error {
-	httpResp, err := c.http.Do(req)
+// do sends the request and decodes a 200 answer into resp.
+func (c *Client) do(ctx context.Context, build func(base string) (*http.Request, error), resp any) error {
+	httpResp, err := c.send(ctx, build)
 	if err != nil {
 		return err
 	}

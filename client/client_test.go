@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,16 +15,17 @@ import (
 )
 
 // newFleet boots n in-process chronosd replicas wired into one ring and
-// returns a fleet client over them.
-func newFleet(t *testing.T, n int, mkCfg func(i int) server.Config) (*Client, []*server.Server) {
+// returns a fleet client over them plus their listeners.
+func newFleet(t *testing.T, n int, mkCfg func(i int) server.Config) (*Client, []*httptest.Server) {
 	t.Helper()
 	servers := make([]*server.Server, n)
+	listeners := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		servers[i] = server.New(mkCfg(i))
-		ts := httptest.NewServer(servers[i].Handler())
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
+		listeners[i] = httptest.NewServer(servers[i].Handler())
+		t.Cleanup(listeners[i].Close)
+		urls[i] = listeners[i].URL
 	}
 	for i := 0; i < n; i++ {
 		if err := servers[i].SetRing(ring.Membership{Self: urls[i], Peers: urls}); err != nil {
@@ -34,50 +36,78 @@ func newFleet(t *testing.T, n int, mkCfg func(i int) server.Config) (*Client, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, servers
+	return c, listeners
 }
 
-// TestFleetClientRoutesToOwner is the client package's core property: the
-// client-side ring agrees with the server-side ring, so plan requests land
-// on the owning replica directly and the servers never pay a forward hop.
-func TestFleetClientRoutesToOwner(t *testing.T) {
-	c, _ := newFleet(t, 3, func(i int) server.Config { return server.Config{} })
+// servedAt reads one replica's count of 200 answers on endpoint from its
+// metrics.
+func servedAt(t *testing.T, c *Client, base, endpoint string) int {
+	t.Helper()
+	text, err := New(base, WithHTTPClient(c.http)).Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := `chronosd_requests_total{endpoint="` + endpoint + `",code="200"} `
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			n, err := strconv.Atoi(strings.TrimPrefix(line, prefix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestFleetClientRoundRobinFailover is the client's fleet contract: plans
+// spread evenly across the replicas, every replica answers with the same
+// plan, and a replica that cannot be reached costs a failover to the next
+// one, not a failed request.
+func TestFleetClientRoundRobinFailover(t *testing.T) {
+	c, listeners := newFleet(t, 3, func(i int) server.Config { return server.Config{} })
 	ctx := context.Background()
 	econ := chronos.Econ{Theta: 1e-4, UnitPrice: 1}
-	for i := 0; i < 12; i++ {
+	plan := func(i int) {
+		t.Helper()
 		job := chronos.JobParams{
 			Tasks: 10 + i, Deadline: 100, TMin: 10, Beta: 1.5,
 			TauEst: 30, TauKill: 60,
 		}
-		if _, err := c.Plan(ctx, PlanRequest{Job: job, Econ: econ}); err != nil {
+		got, err := c.Plan(ctx, PlanRequest{Job: job, Econ: econ})
+		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
-	}
-	// If the client mis-routed anything, some replica would report a
-	// received forward or an outbound forward.
-	for i, base := range c.Replicas() {
-		text, err := metricsAt(ctx, c, base)
+		want, err := chronos.OptimizeBest(job, econ)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, metric := range []string{
-			"chronosd_ring_received_forwards_total",
-			"chronosd_ring_forwarded_total",
-		} {
-			for _, line := range strings.Split(text, "\n") {
-				if strings.HasPrefix(line, metric) && !strings.HasSuffix(line, " 0") {
-					t.Errorf("replica %d: client-side routing missed the owner: %s", i, line)
-				}
-			}
+		if got.Plan != want {
+			t.Fatalf("plan %d = %+v, want %+v", i, got.Plan, want)
 		}
 	}
-}
+	for i := 0; i < 12; i++ {
+		plan(i)
+	}
+	for i, base := range c.Replicas() {
+		if n := servedAt(t, c, base, "/v1/plan"); n != 4 {
+			t.Errorf("replica %d served %d of 12 plans, want 4", i, n)
+		}
+	}
 
-// metricsAt fetches one specific replica's metrics (Metrics() round-robins,
-// which the routing assertion must not depend on).
-func metricsAt(ctx context.Context, c *Client, base string) (string, error) {
-	solo := New(base, WithHTTPClient(c.http))
-	return solo.Metrics(ctx)
+	// With one replica down, every plan still succeeds: the 4 that land on
+	// it fail over to the next replica in order.
+	listeners[1].Close()
+	for i := 0; i < 12; i++ {
+		plan(i)
+	}
+	total := 0
+	for _, i := range []int{0, 2} {
+		total += servedAt(t, c, c.Replicas()[i], "/v1/plan")
+	}
+	if total != 20 {
+		t.Errorf("survivors served %d plans in total, want 20", total)
+	}
 }
 
 // TestClientDecodesErrorEnvelope: a 429 tenant rejection surfaces as
@@ -154,10 +184,9 @@ func TestClientAdmitAndBatch(t *testing.T) {
 	}
 }
 
-// TestClientAdmitBatchFleet scatters one admission batch across a 3-replica
-// fleet: the client splits jobs by plan-key owner, each replica decides its
-// sub-batch locally (no forwards), and the merged results come back in
-// input order with every job's plan.
+// TestClientAdmitBatchFleet sends one admission batch into a 3-replica
+// fleet: a single replica decides the whole batch, and the results come
+// back in input order with every job's plan.
 func TestClientAdmitBatchFleet(t *testing.T) {
 	mkReg := func() *tenant.Registry {
 		reg, err := tenant.NewRegistry(map[string]tenant.Limits{
@@ -196,31 +225,26 @@ func TestClientAdmitBatchFleet(t *testing.T) {
 			t.Fatalf("job %d: %+v, want admitted with a plan", i, res)
 		}
 		// Each job shape has a distinct optimal plan; recompute it to prove
-		// the scatter/gather preserved input order.
+		// the results kept input order.
 		want, err := chronos.OptimizeBest(jobs[i].Job, chronos.Econ{Theta: 1e-4, UnitPrice: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *res.Plan != want {
-			t.Errorf("job %d: plan %+v, want %+v — scatter/gather reordered results",
+			t.Errorf("job %d: plan %+v, want %+v — results reordered",
 				i, *res.Plan, want)
 		}
 	}
 	if resp.BudgetRemaining <= 0 || resp.BudgetRemaining >= 1e6 {
-		t.Errorf("merged budgetRemaining = %g, want in (0, 1e6)", resp.BudgetRemaining)
+		t.Errorf("budgetRemaining = %g, want in (0, 1e6)", resp.BudgetRemaining)
 	}
 
-	// The client-side split means no replica should have paid a forward hop.
-	for i, base := range c.Replicas() {
-		text, err := metricsAt(ctx, c, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(text, "\n") {
-			if strings.HasPrefix(line, "chronosd_ring_forwarded_total") && !strings.HasSuffix(line, " 0") {
-				t.Errorf("replica %d forwarded during a grouped batch: %s", i, line)
-			}
-		}
+	served := 0
+	for _, base := range c.Replicas() {
+		served += servedAt(t, c, base, "/v1/admit/batch")
+	}
+	if served != 1 {
+		t.Errorf("%d replicas answered the batch, want 1", served)
 	}
 }
 

@@ -9,7 +9,7 @@
 //	         [-workers N] [-max-body 1048576] [-shutdown-grace 10s]
 //	         [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
-//	         [-heartbeat-interval 1s] [-suspect-after 3] [-replication 1]
+//	         [-heartbeat-interval 1s] [-suspect-after 3]
 //	         [-escrow] [-data-dir /var/lib/chronosd]
 //	         [-escrow-lease-ttl 15s] [-escrow-lease-fraction 0.1]
 //	         [-snapshot-interval 30s]
@@ -20,43 +20,41 @@
 //	POST /v1/plan        optimal plan for one job (cached hot path)
 //	POST /v1/plan/batch  shared-budget allocation across a job batch
 //	POST /v1/admit       online admission control against a tenant budget pool
+//	POST /v1/admit/batch admission for several same-tenant jobs, one debit
 //	GET  /v1/tradeoff    PoCD/cost frontier for one strategy
 //	POST /v1/simulate    bounded discrete-event what-if run (one JSON report)
 //	POST /v1/replay      streaming trace replay: NDJSON per-job events, with
 //	                     optional server-side trace generation and tenant
 //	                     budget debiting
+//	POST /v1/escrow/lease internal: a holder replica's lease call to the
+//	                     tenant's pool owner (-escrow)
 //	GET  /metrics        Prometheus text metrics
 //	GET  /healthz        liveness probe
 //	GET  /debug/traces   slowest recent request traces with stage breakdowns
 //
 // Every request carries a trace ID (honored from X-Chronosd-Trace-Id or
-// minted) that is stamped on the response, propagated across forward hops,
-// and attached to the sampled JSON request log lines (-log-level,
+// minted) that is stamped on the response, propagated across escrow lease
+// calls, and attached to the sampled JSON request log lines (-log-level,
 // -log-sample). With -debug-addr a second listener serves /debug/pprof/ and
 // /debug/traces, so profiling never shares the serving listener.
 //
-// With -self/-peers (or a -ring membership file), the replica joins a
-// consistent-hash ring over the fleet: /v1/plan and /v1/admit requests whose
-// plan key another replica owns are proxied there, so the fleet's LRU caches
-// partition the keyspace instead of overlapping. An unreachable owner
-// degrades to local computation (per-peer circuit breaking with a single
-// half-open probe per cooldown), never to a failed request.
-//
-// The fleet is self-managing: every -heartbeat-interval each replica probes
-// its peers' /healthz, evicts a member from its effective ring view after
-// -suspect-after consecutive failures, and re-admits it once probes recover
-// (warm-handing the remapped cache entries back). With -replication R > 1
-// the owner of each plan key pushes hot cache entries to the key's next R-1
-// ring successors, so a forward that finds the owner dead is served warm
-// from a replica instead of recomputing cold.
+// Every replica plans and debits each request it receives: a plan is a pure
+// function of the job, and solving it costs less than a loopback hop to
+// another replica, so plans are never routed. With -self/-peers (or a -ring
+// membership file) the replica joins a fleet whose consistent-hash ring
+// assigns each tenant's escrow pool to one owner. The fleet is
+// self-managing: every -heartbeat-interval each replica probes its peers'
+// /healthz, evicts a member from its ring view after -suspect-after
+// consecutive failures, and re-admits it once probes recover.
 //
 // With -escrow, tenant budgets are fleet-exact instead of per-replica: the
 // ring owner of each tenant key holds the authoritative pool and every other
 // replica debits a local lease topped up over the internal /v1/escrow/lease
 // API, so concurrent admits across the whole fleet can never over-commit a
-// pool. -data-dir makes the ledger durable (periodic snapshot + append-only
-// WAL, replayed on boot) and persists the hot plan cache across restarts; a
-// booting ring member also bulk-fetches the plans it owns from its peers.
+// pool. Lease calls go through a per-peer circuit breaker with a single
+// half-open probe per cooldown (-forward-timeout bounds each call).
+// -data-dir makes the ledger durable (periodic snapshot + append-only WAL,
+// replayed on boot).
 //
 // SIGHUP re-reads the -tenants and -ring config files: tenant reloads carry
 // live ledger levels over for pools whose budget shape is unchanged and
@@ -98,15 +96,14 @@ func main() {
 		writeTimeout  = flag.Duration("write-timeout", 60*time.Second, "HTTP write timeout")
 		grace         = flag.Duration("shutdown-grace", 10*time.Second, "graceful drain budget on shutdown")
 		tenantsPath   = flag.String("tenants", "", "tenant budget-pool config file (JSON); SIGHUP reloads it")
-		self          = flag.String("self", "", "this replica's base URL in the consistent-hash ring")
+		self          = flag.String("self", "", "this replica's base URL in the fleet's consistent-hash ring")
 		peers         = flag.String("peers", "", "comma-separated fleet base URLs (ring membership)")
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
-		forwardTO     = flag.Duration("forward-timeout", 2*time.Second, "cross-replica forward timeout before local fallback")
+		forwardTO     = flag.Duration("forward-timeout", 2*time.Second, "timeout of one escrow lease call to a tenant's pool owner")
 		heartbeat     = flag.Duration("heartbeat-interval", time.Second, "peer liveness probe interval for health-driven membership (0 disables)")
 		suspectAfter  = flag.Int("suspect-after", 3, "consecutive failed probes before a ring member is evicted")
-		replication   = flag.Int("replication", 1, "hot-key copy count R: owner plus R-1 ring successors hold each cached plan")
 		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")
-		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL and the plan-cache dump (empty = memory only)")
+		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL (empty = memory only)")
 		leaseTTL      = flag.Duration("escrow-lease-ttl", 15*time.Second, "escrow lease lifetime without a renewal before the owner reclaims it")
 		leaseFraction = flag.Float64("escrow-lease-fraction", 0.1, "share of a tenant's budget one replica targets for its local lease")
 		snapInterval  = flag.Duration("snapshot-interval", 30*time.Second, "how often the escrow WAL is folded into a fresh snapshot")
@@ -192,7 +189,6 @@ func main() {
 		ForwardTimeout:         *forwardTO,
 		HeartbeatInterval:      *heartbeat,
 		SuspectAfter:           *suspectAfter,
-		Replication:            *replication,
 		Escrow:                 *escrow,
 		Store:                  store,
 		EscrowLeaseTTL:         *leaseTTL,
@@ -268,18 +264,6 @@ func main() {
 		}()
 	}
 
-	// A replica joining a sharded fleet warms the slice of the plan
-	// keyspace it owns from its peers' caches, so a restart (or a reshard
-	// that moved keys here) starts hot instead of cold. Concurrent with
-	// serving: a plan that arrives before its warm copy is just solved once.
-	if membership.Enabled() {
-		go func() {
-			warmCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-			defer cancel()
-			srv.WarmFromPeers(warmCtx)
-		}()
-	}
-
 	logger.Info("listening", "addr", *addr,
 		"logLevel", level.String(), "logSample", *logSample,
 		"escrow", *escrow, "dataDir", *dataDir)
@@ -288,7 +272,7 @@ func main() {
 		os.Exit(1)
 	}
 	// Graceful teardown: release escrow leases to their owners, compact the
-	// ledger, dump the hot plan cache, then close the WAL.
+	// ledger, then close the WAL.
 	srv.Close()
 	if err := store.Close(); err != nil {
 		logger.Error("data dir close failed", "error", err.Error())

@@ -3,9 +3,10 @@
 // way a cluster scheduler would: a single-job plan (twice, showing the
 // cache hit), a shared-budget batch, a tradeoff curve, and a what-if
 // simulation, finishing with the server's own Prometheus metrics. Against a
-// sharded fleet the same code routes plan-keyed requests straight to the
-// owning replica — build the client with NewFleet and the replicas' -self
-// URLs instead of New.
+// fleet the same code spreads requests round-robin across the replicas and
+// fails over when one is unreachable — build the client with NewFleet and
+// the replicas' URLs instead of New; every replica answers every request
+// itself.
 //
 // Run with:
 //

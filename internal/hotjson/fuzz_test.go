@@ -5,13 +5,18 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"chronos"
 )
 
-// The fuzz targets hold hotjson to its contract: decoding accepts exactly
-// what encoding/json accepts and produces the same struct, and encoding is
-// byte-identical to json.Marshal. Seeds mirror testdata/fuzz committed for
-// the root package's FuzzPlanRequestJSON plus shapes that exercise every
-// field kind (pointers, maps, escapes, folds, duplicate keys).
+// The fuzz targets hold hotjson to its contract, with encoding/json as the
+// oracle: decoding a request accepts exactly what encoding/json accepts and
+// produces the same struct, and encoding a response is byte-identical to
+// json.Marshal. hotjson only decodes requests and only encodes responses,
+// so each target checks the direction production uses and round-trips the
+// other through encoding/json. Seeds mirror testdata/fuzz committed for the
+// root package's FuzzPlanRequestJSON plus shapes that exercise every field
+// kind (pointers, maps, escapes, folds, duplicate keys).
 
 // checkDecode decodes data with both decoders and fails on any
 // success/failure or value disagreement. Returns true when both succeeded.
@@ -30,6 +35,26 @@ func checkDecode[T any](t *testing.T, data []byte, hot func([]byte, *T) error) (
 		t.Fatalf("decoded values differ on %q:\nencoding/json: %+v\nhotjson: %+v", data, ref, got)
 	}
 	return ref, true
+}
+
+// checkRoundTrip re-encodes a decoded request with encoding/json and fails
+// unless the hot decoder reads it back to the same value.
+func checkRoundTrip[T any](t *testing.T, v *T, hot func([]byte, *T) error) {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("encoding/json cannot re-encode %+v: %v", v, err)
+	}
+	var got T
+	if err := hot(raw, &got); err != nil || !reflect.DeepEqual(*v, got) {
+		t.Fatalf("round trip of %s: hotjson %+v (%v), want %+v", raw, got, err, *v)
+	}
+}
+
+// oracleDecode decodes data with encoding/json; ok is false when it rejects
+// the input (the encoder targets then have nothing to encode).
+func oracleDecode[T any](data []byte) (v T, ok bool) {
+	return v, json.Unmarshal(data, &v) == nil
 }
 
 // checkEncode marshals v with both encoders and fails on any disagreement.
@@ -66,7 +91,9 @@ func FuzzPlanRequest(f *testing.F) {
 		if err := DecodePlanRequest(data, &interned, testInterner{}); err != nil || !reflect.DeepEqual(v, interned) {
 			t.Fatalf("interned decode differs: %v / %+v vs %+v", err, interned, v)
 		}
-		checkEncode(t, &v, AppendPlanRequest)
+		checkRoundTrip(t, &v, func(b []byte, v *PlanRequest) error {
+			return DecodePlanRequest(b, v, nil)
+		})
 	})
 }
 
@@ -85,7 +112,9 @@ func FuzzAdmitRequest(f *testing.F) {
 		if err := DecodeAdmitRequest(data, &interned, testInterner{}); err != nil || !reflect.DeepEqual(v, interned) {
 			t.Fatalf("interned decode differs: %v / %+v vs %+v", err, interned, v)
 		}
-		checkEncode(t, &v, AppendAdmitRequest)
+		checkRoundTrip(t, &v, func(b []byte, v *AdmitRequest) error {
+			return DecodeAdmitRequest(b, v, nil)
+		})
 	})
 }
 
@@ -96,7 +125,7 @@ func FuzzPlan(f *testing.F) {
 	f.Add([]byte(`{"strategy":null}`))
 	f.Add([]byte(`{"strategy":" clone "}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodePlan)
+		v, ok := oracleDecode[chronos.Plan](data)
 		if !ok {
 			return
 		}
@@ -109,7 +138,7 @@ func FuzzPlanResponse(f *testing.F) {
 	f.Add([]byte(`{"plan":{"strategy":"Mantri","r":0,"pocd":0,"machineTime":0,"cost":0,"utility":0},"cached":false,"budgetRemaining":17.5}`))
 	f.Add([]byte(`{"budgetRemaining":null,"cached":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodePlanResponse)
+		v, ok := oracleDecode[PlanResponse](data)
 		if !ok {
 			return
 		}
@@ -122,7 +151,7 @@ func FuzzAdmitResponse(f *testing.F) {
 	f.Add([]byte(`{"admitted":false,"tenant":"t","reason":"budget_exhausted","budgetRemaining":0.25}`))
 	f.Add([]byte(`{"plan":null,"budgetRemaining":-0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodeAdmitResponse)
+		v, ok := oracleDecode[AdmitResponse](data)
 		if !ok {
 			return
 		}
@@ -137,7 +166,7 @@ func FuzzReplayEvent(f *testing.F) {
 	f.Add([]byte(`{"event":"replay_summary","seq":9,"time":9000,"summary":{"jobs":10,"submitted":10,"met":9,"pocd":0.9,"meanMachineTime":90,"meanCost":9,"rHistogram":{"2":7,"10":3,"-1":1}}}`))
 	f.Add([]byte(`{"event":"budget_exhausted","seq":4,"time":12,"tenant":"t","needed":3.5,"remaining":0.5,"error":"x"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodeReplayEvent)
+		v, ok := oracleDecode[chronos.ReplayEvent](data)
 		if !ok {
 			return
 		}

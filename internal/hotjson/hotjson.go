@@ -1,6 +1,7 @@
 // Package hotjson is a hand-rolled, reflection-free JSON codec for the
-// chronosd wire structs on the serving hot path: plan and admit requests
-// and responses, chronos.Plan, and replay stream events.
+// chronosd wire structs on the serving hot path. It covers only the
+// directions the server uses: it decodes plan and admit requests, and
+// encodes plan and admit responses, chronos.Plan, and replay stream events.
 //
 // The encoders are append-style and byte-identical to encoding/json
 // (declared field order, omitempty, HTML-escaped strings, ES6 float

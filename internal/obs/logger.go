@@ -75,12 +75,6 @@ func (l *Logger) Request(snap *Snapshot) {
 	if snap.Cached != nil {
 		attrs = append(attrs, slog.Bool("cached", *snap.Cached))
 	}
-	if snap.ServedBy != "" {
-		attrs = append(attrs, slog.String("servedBy", snap.ServedBy))
-	}
-	if snap.ForwardHop {
-		attrs = append(attrs, slog.Bool("forwardHop", true))
-	}
 	var stages []any
 	for s := Stage(0); s < NumStages; s++ {
 		if snap.StageCounts[s] != 0 {

@@ -66,14 +66,14 @@ func TestTraceSnapshotStages(t *testing.T) {
 	tr.Observe(StageSolve, 3*time.Millisecond)
 	tr.SetTenant("acme")
 	tr.SetCached(false)
-	snap := tr.Finish(200, 6*time.Millisecond, "http://a", true)
+	snap := tr.Finish(200, 6*time.Millisecond)
 	if snap.StageCounts[StageCache] != 1 || snap.StageCounts[StageSolve] != 2 {
 		t.Fatalf("stage counts = %v", snap.StageCounts)
 	}
 	if got := snap.StageSeconds(StageSolve); got < 0.0049 || got > 0.0051 {
 		t.Errorf("solve seconds = %g, want ~0.005", got)
 	}
-	if snap.Tenant != "acme" || snap.Cached == nil || *snap.Cached || !snap.ForwardHop {
+	if snap.Tenant != "acme" || snap.Cached == nil || *snap.Cached {
 		t.Errorf("metadata not carried: %+v", snap)
 	}
 
@@ -103,7 +103,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.Observe(StageSolve, time.Second)
 	tr.SetTenant("x")
 	tr.SetCached(true)
-	if snap := tr.Finish(200, time.Second, "", false); snap != nil {
+	if snap := tr.Finish(200, time.Second); snap != nil {
 		t.Errorf("nil trace Finish = %+v, want nil", snap)
 	}
 	if got := FromContext(t.Context()); got != nil {
@@ -135,7 +135,7 @@ func TestConcurrentSpansStayIsolated(t *testing.T) {
 				}()
 			}
 			inner.Wait()
-			snaps[i] = tr.Finish(200, time.Millisecond, "", false)
+			snaps[i] = tr.Finish(200, time.Millisecond)
 		}(i)
 	}
 	wg.Wait()
@@ -204,7 +204,7 @@ func TestLoggerSamplingAndFields(t *testing.T) {
 	hit := true
 	rich := &Snapshot{
 		ID: "t2", Route: "/v1/plan", Status: 200, Seconds: 0.002,
-		Tenant: "acme", Cached: &hit, ServedBy: "http://owner", ForwardHop: true,
+		Tenant: "acme", Cached: &hit,
 	}
 	rich.StageNanos[StageCache] = 1500
 	rich.StageCounts[StageCache] = 1
@@ -213,7 +213,7 @@ func TestLoggerSamplingAndFields(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
 		t.Fatalf("request line is not JSON: %v (%q)", err, buf.String())
 	}
-	for _, key := range []string{"traceId", "route", "status", "seconds", "tenant", "cached", "servedBy", "forwardHop", "stages"} {
+	for _, key := range []string{"traceId", "route", "status", "seconds", "tenant", "cached", "stages"} {
 		if _, ok := line[key]; !ok {
 			t.Errorf("request line missing %q: %s", key, buf.String())
 		}

@@ -69,9 +69,9 @@ func (r *TraceRing) Slowest(n int) []*Snapshot {
 }
 
 // Find returns the most recent retained snapshot with the given trace ID, or
-// nil. A forwarded request leaves one snapshot per replica it touched; Find
-// on each replica's ring is how tests and the ring demo assert cross-replica
-// propagation.
+// nil. A request that made an escrow lease call leaves one snapshot on each
+// replica it touched; Find on each replica's ring is how tests and the ring
+// demo assert cross-replica propagation.
 func (r *TraceRing) Find(id string) *Snapshot {
 	if r == nil {
 		return nil
@@ -109,16 +109,14 @@ type stageJSON struct {
 
 // snapshotJSON is the /debug/traces wire form of a Snapshot.
 type snapshotJSON struct {
-	TraceID    string               `json:"traceId"`
-	Route      string               `json:"route"`
-	Status     int                  `json:"status"`
-	Start      time.Time            `json:"start"`
-	Seconds    float64              `json:"seconds"`
-	Tenant     string               `json:"tenant,omitempty"`
-	Cached     *bool                `json:"cached,omitempty"`
-	ServedBy   string               `json:"servedBy,omitempty"`
-	ForwardHop bool                 `json:"forwardHop,omitempty"`
-	Stages     map[string]stageJSON `json:"stages,omitempty"`
+	TraceID string               `json:"traceId"`
+	Route   string               `json:"route"`
+	Status  int                  `json:"status"`
+	Start   time.Time            `json:"start"`
+	Seconds float64              `json:"seconds"`
+	Tenant  string               `json:"tenant,omitempty"`
+	Cached  *bool                `json:"cached,omitempty"`
+	Stages  map[string]stageJSON `json:"stages,omitempty"`
 }
 
 // MarshalJSON renders the snapshot with stages as a keyed object, omitting
@@ -126,15 +124,13 @@ type snapshotJSON struct {
 // per-request Finish path stays a single flat allocation.
 func (sn *Snapshot) MarshalJSON() ([]byte, error) {
 	out := snapshotJSON{
-		TraceID:    sn.ID,
-		Route:      sn.Route,
-		Status:     sn.Status,
-		Start:      sn.Start,
-		Seconds:    sn.Seconds,
-		Tenant:     sn.Tenant,
-		Cached:     sn.Cached,
-		ServedBy:   sn.ServedBy,
-		ForwardHop: sn.ForwardHop,
+		TraceID: sn.ID,
+		Route:   sn.Route,
+		Status:  sn.Status,
+		Start:   sn.Start,
+		Seconds: sn.Seconds,
+		Tenant:  sn.Tenant,
+		Cached:  sn.Cached,
 	}
 	for s := Stage(0); s < NumStages; s++ {
 		if sn.StageCounts[s] == 0 {

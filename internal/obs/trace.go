@@ -3,7 +3,7 @@
 // for the serving hot path, a ring buffer of recent slow traces, and the
 // pprof/trace debug surface. The serving layer (internal/server) threads a
 // *Trace through every handler; this package owns the vocabulary so the
-// server, the CLIs, and future fleet subsystems (gossip membership, escrow
+// server, the CLIs, and the fleet subsystems (heartbeat membership, escrow
 // ledger) log and trace through one mechanism.
 package obs
 
@@ -15,20 +15,21 @@ import (
 	"time"
 )
 
-// TraceHeader carries a request's trace ID across forward hops and back to
-// the client on every response. An inbound value is honored (after
+// TraceHeader carries a request's trace ID across escrow lease calls and
+// back to the client on every response. An inbound value is honored (after
 // sanitizing) so callers and upstream proxies can stitch chronosd spans into
 // their own traces; absent or unusable values get a freshly minted ID.
 const TraceHeader = "X-Chronosd-Trace-Id"
 
 // Stage indexes one instrumented phase of the serving hot path. Stages are
-// accumulated, not exclusive: a batch request records many Solve spans, a
-// forwarded request records the whole peer round trip under StageForward.
+// accumulated, not exclusive: a batch request records many Solve spans, an
+// admit whose lease runs dry records the owner round trip under
+// StageEscrow.
 type Stage uint8
 
 const (
 	// StageQuantize is plan-key construction: float quantization plus
-	// formatting of the cache/ring key.
+	// formatting of the plan-cache key.
 	StageQuantize Stage = iota
 	// StageCache is a sharded plan-cache lookup.
 	StageCache
@@ -41,9 +42,6 @@ const (
 	// (a synchronous top-up on the admit path, request out through response
 	// body read).
 	StageEscrow
-	// StageForward is a cross-replica forward round trip (request out
-	// through response body read).
-	StageForward
 	// StageReplayEmit is NDJSON replay-event encoding, write, and flush.
 	StageReplayEmit
 	// StageFlightWait is time a cold plan request spent parked behind another
@@ -53,17 +51,14 @@ const (
 	// configured membership (not request-scoped; observed directly into the
 	// stage histogram by the monitor goroutine).
 	StageHeartbeat
-	// StageHandoff is one warm cache handoff after a membership change:
-	// dump, ownership diff, and the pushes to every new owner.
-	StageHandoff
 
 	// NumStages sizes per-stage arrays; keep it last.
 	NumStages
 )
 
 var stageNames = [NumStages]string{
-	"quantize", "cache", "solve", "debit", "escrow", "forward", "replay_emit",
-	"flight_wait", "heartbeat", "handoff",
+	"quantize", "cache", "solve", "debit", "escrow", "replay_emit",
+	"flight_wait", "heartbeat",
 }
 
 // String returns the stable label used in logs, metrics, and /debug/traces.
@@ -136,23 +131,19 @@ func (t *Trace) SetCached(hit bool) {
 	}
 }
 
-// Finish snapshots the trace once the response is written. status is the
-// HTTP status, servedBy the replica that computed the answer (from the
-// response header, empty when sharding is off), and forwardHop reports
-// whether the request arrived already forwarded from a peer.
-func (t *Trace) Finish(status int, elapsed time.Duration, servedBy string, forwardHop bool) *Snapshot {
+// Finish snapshots the trace once the response is written; status is the
+// HTTP status.
+func (t *Trace) Finish(status int, elapsed time.Duration) *Snapshot {
 	if t == nil {
 		return nil
 	}
 	snap := &Snapshot{
-		ID:         t.ID,
-		Route:      t.Route,
-		Status:     status,
-		Start:      t.start,
-		Seconds:    elapsed.Seconds(),
-		Tenant:     t.tenant,
-		ServedBy:   servedBy,
-		ForwardHop: forwardHop,
+		ID:      t.ID,
+		Route:   t.Route,
+		Status:  status,
+		Start:   t.start,
+		Seconds: elapsed.Seconds(),
+		Tenant:  t.tenant,
 	}
 	if t.cached != 0 {
 		hit := t.cached == 2
@@ -177,8 +168,6 @@ type Snapshot struct {
 	Seconds    float64
 	Tenant     string
 	Cached     *bool
-	ServedBy   string
-	ForwardHop bool
 	StageNanos [NumStages]int64
 	// StageCounts holds per-stage observation counts; for a well-formed
 	// single-plan request each instrumented stage fires at most once, so a

@@ -72,14 +72,26 @@ func solveMemoized(m *memoModel, cfg Config) (Result, error) {
 
 	// Phase 1: U is concave (hence unimodal) on r >= start. Bracket the peak
 	// by exponential probing, then binary-search the first difference. The
-	// closure does not escape concaveArgmax, so it stays on the stack.
-	bestR := concaveArgmax(func(r int) float64 { return cfg.Utility(m, r) }, start)
-	bestU := cfg.Utility(m, bestR)
+	// closure does not escape concaveArgmax, so it stays on the stack. A NaN
+	// utility (a closed form overflowed) scores as -Inf: it must neither
+	// steer the bracket nor stand as the incumbent Phase 2 has to beat.
+	bestR := concaveArgmax(func(r int) float64 { return scoreable(cfg.Utility(m, r)) }, start)
+	bestU := scoreable(cfg.Utility(m, bestR))
 
 	// Phase 2: exhaustive scan below the concavity threshold, riding the
-	// kernel's sequential Advance cursor.
-	for r := 0; r < start; r++ {
-		if _, _, u := m.scanProbe(cfg, r); u > bestU {
+	// kernel's sequential Advance cursor. The scan is bounded like Phase 1's
+	// bracket, by rSafetyCap, and ends at the first r whose machine time is
+	// not finite: the closed forms' powers only grow with r, so past that
+	// point no r has a utility to compare. Without both bounds a threshold
+	// that rounds to ~1e16 (a restarted attempt's miss probability rounding
+	// to 1-eps) turns the scan into an unbounded loop.
+	end := min(start, rSafetyCap)
+	for r := 0; r < end; r++ {
+		_, mt, u := m.scanProbe(cfg, r)
+		if math.IsNaN(mt) || math.IsInf(mt, 0) {
+			break
+		}
+		if u > bestU {
 			bestU, bestR = u, r
 		}
 	}
@@ -96,6 +108,14 @@ func solveMemoized(m *memoModel, cfg Config) (Result, error) {
 		MachineTime: mt,
 		Cost:        cfg.UnitPrice * mt,
 	}, nil
+}
+
+// scoreable maps a NaN utility to -Inf, the score of an infeasible r.
+func scoreable(u float64) float64 {
+	if math.IsNaN(u) {
+		return math.Inf(-1)
+	}
+	return u
 }
 
 // concaveArgmax maximizes a unimodal (discretely concave) function over the

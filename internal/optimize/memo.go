@@ -188,7 +188,11 @@ func (m *memoModel) scanProbe(cfg Config, r int) (pocd, mt, u float64) {
 	mt, okM := denseLoad(m.mt, r)
 	if !okP || !okM {
 		if r >= memoDenseCap {
-			return m.PoCD(r), m.MachineTime(r), cfg.Utility(m, r)
+			// Past the dense region a scan visits each r once: evaluate
+			// without filling the overflow maps, so a long scan stays flat
+			// in memory.
+			pocd, mt = m.model.PoCD(r), m.model.MachineTime(r)
+			return pocd, mt, cfg.utilityAt(pocd, mt)
 		}
 		if m.model == &m.ev {
 			m.ev.Seek(r)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"chronos/internal/analysis"
 	"chronos/internal/pareto"
@@ -338,5 +339,68 @@ func TestConcaveArgmax(t *testing.T) {
 	u2 := func(r int) float64 { x := float64(r - 5000); return -x * x }
 	if got := concaveArgmax(u2, 3); got != 5000 {
 		t.Errorf("concaveArgmax far peak = %d, want 5000", got)
+	}
+}
+
+// TestSolveRestartDegenerateWindow pins the planner against a restart
+// window that is tmin plus one ulp: the restarted attempt's miss
+// probability rounds to 1-eps, the concavity threshold to ~2e16, and the
+// machine time overflows to NaN from r = 190. The solve must still return
+// the true argmax, R = 1 (U falls monotonically over r = 2..100), quickly
+// and in bounded memory.
+func TestSolveRestartDegenerateWindow(t *testing.T) {
+	p := analysis.Params{
+		N:        157,
+		Deadline: 15.8,
+		Task:     pareto.MustNew(11.44, 1.539),
+		TauEst:   4.36,
+		TauKill:  7.33,
+	}
+	cfg := Config{Theta: 7.72e-6, UnitPrice: 1}
+	if g := analysis.NewModel(analysis.StrategyRestart, p).Gamma(); g < 1e15 {
+		t.Fatalf("Gamma = %g; the input no longer exercises the degenerate threshold", g)
+	}
+	start := time.Now()
+	res, err := SolveStrategy(analysis.StrategyRestart, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("solve took %v; the below-threshold scan is not bounded", elapsed)
+	}
+	if res.R != 1 {
+		t.Errorf("R = %d, want 1", res.R)
+	}
+	if math.Abs(res.Utility-(-63.94743)) > 1e-5 {
+		t.Errorf("U = %v, want about -63.94743", res.Utility)
+	}
+	if _, err := Best(p, cfg); err != nil {
+		t.Fatalf("Best: %v", err)
+	}
+}
+
+// TestSolveNeverReturnsNaNUtility: where the closed forms overflow at the
+// concavity threshold itself, Phase 1's NaN utility must not become the
+// incumbent — the answer is the best finite r below it.
+func TestSolveNeverReturnsNaNUtility(t *testing.T) {
+	p := analysis.Params{
+		N:        1479,
+		Deadline: 5.993963274379092,
+		Task:     pareto.MustNew(5.863079986826972, 2.853255248959387),
+		TauEst:   0.043022573729994636,
+		TauKill:  0.69350003222202,
+	}
+	cfg := Config{Theta: 1e-6, UnitPrice: 1}
+	res, err := SolveStrategy(analysis.StrategyRestart, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(res.Utility) || math.IsNaN(res.MachineTime) {
+		t.Fatalf("solve returned a NaN plan: %+v", res)
+	}
+	for r := 0; r <= res.R+50; r++ {
+		if u := cfg.Utility(analysis.NewModel(analysis.StrategyRestart, p), r); u > res.Utility {
+			t.Fatalf("U(%d) = %v beats the returned R = %d (U = %v)", r, u, res.R, res.Utility)
+		}
 	}
 }

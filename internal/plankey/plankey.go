@@ -1,9 +1,8 @@
 // Package plankey owns the canonical plan-key format: the quantized string
-// that identifies one optimization request across the whole fleet. The
-// serving layer keys its sharded plan cache and its consistent-hash ring
-// with it, and the client package hashes it locally to route requests
-// straight to the owning replica — both sides must build byte-identical
-// keys, which is why the format lives in one package instead of two.
+// that identifies one optimization request. The serving layer keys its
+// sharded plan cache with it, and the benchmark harness builds the same
+// keys to generate inputs whose plans never repeat — which is why the
+// format lives in one package instead of being private to the server.
 package plankey
 
 import (
@@ -27,8 +26,7 @@ func Key(strategy string, p chronos.JobParams, e chronos.Econ) string {
 // AppendKey appends the plan key to dst and returns the extended slice —
 // Key for the serving hot path, which reuses a pooled buffer instead of
 // allocating a string per request. The output is byte-identical to Key
-// (historically fmt.Sprintf with %.6g), which persisted cache dumps and
-// fleet-wide ring placement both depend on.
+// (historically fmt.Sprintf with %.6g).
 func AppendKey(dst []byte, strategy string, p chronos.JobParams, e chronos.Econ) []byte {
 	dst = append(dst, strategy...)
 	dst = append(dst, '|')

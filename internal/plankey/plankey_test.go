@@ -54,8 +54,8 @@ func TestCanonicalStrategy(t *testing.T) {
 }
 
 // TestAppendKeyMatchesHistoricalFormat pins AppendKey to the fmt.Sprintf
-// %.6g format Key used before the hot path stopped allocating. Persisted
-// cache dumps and ring placement depend on the bytes never changing.
+// %.6g format Key used before the hot path stopped allocating, so the
+// quantization a plan cache hit depends on never drifts.
 func TestAppendKeyMatchesHistoricalFormat(t *testing.T) {
 	legacy := func(strategy string, p chronos.JobParams, e chronos.Econ) string {
 		return fmt.Sprintf("%s|%d|%.6g|%.6g|%.6g|%.6g|%.6g|%.6g|%.6g|%.6g|%.6g",

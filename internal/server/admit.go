@@ -70,19 +70,9 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	econ := tenantEcon(req.Econ, pool)
-	// Sharded serving: admission decisions for a non-owned plan key run on
-	// the owning replica (its cache holds the unconstrained optimum and its
-	// ledger takes the debit — replicas run identical tenant configs, so
-	// each holds one shard of a tenant's fleet-wide budget). The forwarded
-	// request carries the filled econ so the owner keys its cache
-	// identically.
-	req.Econ = econ
 	qStart := time.Now()
 	hb.key = plankey.AppendKey(hb.key[:0], cacheStrategyName(strat, best), req.Job, econ)
 	tr.Observe(obs.StageQuantize, time.Since(qStart))
-	if s.forwardToOwner(w, r, "/v1/admit", hb.key, req) {
-		return
-	}
 
 	// The debit target: the raw pool in the legacy per-replica mode, the
 	// escrow-aware budget (authoritative pool on the tenant owner, local
@@ -137,14 +127,6 @@ func (s *Server) cachedPlan(tr *obs.Trace, strat chronos.Strategy, best bool, jo
 	qStart := time.Now()
 	key := planKey(cacheStrategyName(strat, best), job, econ)
 	tr.Observe(obs.StageQuantize, time.Since(qStart))
-	return s.cachedPlanKeyed(tr, key, strat, best, job, econ)
-}
-
-// cachedPlanKeyed is cachedPlan for callers that already computed the plan
-// key — the sharded handlers, which need it for the ownership lookup before
-// the cache is consulted — so the ~10-float fmt of planKey runs once per
-// request, not twice.
-func (s *Server) cachedPlanKeyed(tr *obs.Trace, key string, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
 	cStart := time.Now()
 	plan, hit := s.cache.get(key)
 	tr.Observe(obs.StageCache, time.Since(cStart))
@@ -154,7 +136,7 @@ func (s *Server) cachedPlanKeyed(tr *obs.Trace, key string, strat chronos.Strate
 	return s.solveAndCache(tr, key, strat, best, job, econ)
 }
 
-// cachedPlanKeyedBytes is cachedPlanKeyed for the hot handlers, whose key
+// cachedPlanKeyedBytes is cachedPlan for the hot handlers, whose key
 // still lives in the pooled request buffer: a cache hit probes the shard map
 // without materializing the key string, so the hot path allocates nothing.
 func (s *Server) cachedPlanKeyedBytes(tr *obs.Trace, key []byte, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
@@ -198,11 +180,8 @@ func (s *Server) solveAndCache(tr *obs.Trace, key string, strat chronos.Strategy
 		plan = chronos.Plan{}
 	} else {
 		// Cache before leaving the flight table so later misses for this key
-		// hit the LRU instead of starting a fresh solve, then enqueue the
-		// entry's async push to its ring successors (no-op unless this
-		// replica owns the key and replication is on).
+		// hit the LRU instead of starting a fresh solve.
 		s.cache.put(key, plan)
-		s.replicateHot(key, plan)
 	}
 	s.flight.complete(key, call, plan, err)
 	return plan, false, err

@@ -17,11 +17,8 @@ import (
 // a batch of N admits costs one CAS on the tenant's lease instead of N, so
 // high-arrival tenants stop serializing on their own budget counter.
 //
-// The batch is never forwarded: its jobs span plan-key owners, so there is
-// no single replica to forward to. Any replica can serve it correctly (the
-// tenant debit goes through this replica's escrow lease; only cache
-// partitioning is diluted); the ring-aware client groups jobs by owner and
-// posts one sub-batch per owning replica to keep even that.
+// Like every plan-path request, the batch is decided on the replica that
+// received it; the tenant debit goes through this replica's escrow lease.
 
 // admitBatchRequest asks for admission decisions for several jobs against
 // one tenant's budget.

@@ -63,20 +63,20 @@ type Config struct {
 	// starving the planning hot path. Default 4.
 	MaxActiveReplays int
 
-	// Self and Peers are the initial consistent-hash ring membership: Self
-	// is this replica's advertised base URL, Peers the fleet's base URLs
-	// (Self may be included or not). Both empty disables sharding; Peers
-	// without Self is a startup error. Swappable at runtime with
-	// Server.SetRing.
+	// Self and Peers are the initial fleet membership, which assigns escrow
+	// tenant pools to replicas on a consistent-hash ring: Self is this
+	// replica's advertised base URL, Peers the fleet's base URLs (Self may be
+	// included or not). Both empty makes the replica solo; Peers without Self
+	// is a startup error. Swappable at runtime with Server.SetRing.
 	Self  string
 	Peers []string
 	// RingVirtualNodes is the per-member virtual-node count of the ring.
 	// Zero means ring.DefaultVirtualNodes.
 	RingVirtualNodes int
-	// ForwardTimeout bounds one cross-replica forward before local
-	// fallback. Default 2 s.
+	// ForwardTimeout bounds one escrow lease call to a tenant's pool owner.
+	// Default 2 s.
 	ForwardTimeout time.Duration
-	// BreakerThreshold is the consecutive forward failures that open a
+	// BreakerThreshold is the consecutive lease-call failures that open a
 	// peer's circuit; BreakerCooldown is how long an open circuit skips the
 	// peer before admitting a single half-open probe. Defaults 3 and 5 s.
 	BreakerThreshold int
@@ -92,11 +92,6 @@ type Config struct {
 	// before a suspect is re-admitted. Defaults 3 and 2.
 	SuspectAfter int
 	ReadmitAfter int
-	// Replication is the hot-key copy count R: each cached plan lives on
-	// its ring owner plus the next R−1 ring successors (the owner pushes
-	// copies asynchronously), and forwards read from a replica when the
-	// owner is unreachable. 1 (the default) keeps single-copy placement.
-	Replication int
 
 	// Logger receives structured logs: sampled per-request lines (trace ID,
 	// route, status, stage breakdown) and unsampled 5xx lines. Nil disables
@@ -123,10 +118,10 @@ type Config struct {
 	// fleet runs the legacy per-replica approximation (each replica holds a
 	// full copy of every pool).
 	Escrow bool
-	// Store is the snapshot+WAL durability layer for escrow accounting and
-	// the plan-cache dump (opened from -data-dir). Nil keeps the ledger
-	// memory-only; escrow still enforces fleet-exactness, it just cannot
-	// survive an owner restart.
+	// Store is the snapshot+WAL durability layer for escrow accounting
+	// (opened from -data-dir). Nil keeps the ledger memory-only; escrow
+	// still enforces fleet-exactness, it just cannot survive an owner
+	// restart.
 	Store *tenant.Store
 	// EscrowLeaseTTL is how long a lease stays valid without a renewal
 	// before the owner reclaims its escrow. Default tenant.DefaultLeaseTTL.
@@ -201,9 +196,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = 2
-	}
-	if c.Replication <= 0 {
-		c.Replication = 1
 	}
 	if c.EscrowLeaseTTL <= 0 {
 		c.EscrowLeaseTTL = tenant.DefaultLeaseTTL

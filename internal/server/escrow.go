@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -29,7 +30,7 @@ import (
 // as the escrow stage) and in the background renew loop, which batches the
 // spent report and the next top-up into one request.
 
-// tenantKeyPrefix namespaces tenant ownership keys on the plan-key ring.
+// tenantKeyPrefix namespaces tenant ownership keys on the ring.
 const tenantKeyPrefix = "tenant:"
 
 // escrowPath is the internal lease API every replica serves.
@@ -83,15 +84,15 @@ func newEscrowManager(s *Server, led *tenant.EscrowLedger) *escrowManager {
 	}
 }
 
-// ownsTenant reports whether this replica is the tenant's pool owner (true
-// whenever sharding is off: a solo replica owns everything).
+// ownsTenant reports whether this replica is the tenant's pool owner (always
+// true on a solo replica, which owns everything).
 func (m *escrowManager) ownsTenant(name string) bool {
 	owner, local := m.tenantOwner(name)
 	return local || owner == ""
 }
 
 // tenantOwner resolves the tenant's pool owner: local == true means this
-// replica (or sharding is off); otherwise owner is the peer's base URL.
+// replica (or no ring is configured); otherwise owner is the peer's base URL.
 func (m *escrowManager) tenantOwner(name string) (owner string, local bool) {
 	rs := m.srv.ringSt.Load()
 	if rs == nil {
@@ -222,6 +223,12 @@ func (m *escrowManager) topUp(ctx context.Context, name, owner string, pool *ten
 // not one per admit. The spent amount inside req is refunded to the lease's
 // unreported accumulator on failure, so a lost report is carried by the next
 // call instead of dropped.
+//
+// The breaker is settled by what the call proved about the owner: an answer
+// below 500 (a grant, or a refusal such as not_owner) closes it, a transport
+// failure, a 5xx, or an unreadable body charges it, and a call abandoned
+// because ctx ended (the admitting client went away) releases a claimed
+// half-open probe without judging the owner.
 func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowLeaseRequest, lease *tenant.Lease) (escrowLeaseResponse, error) {
 	var out escrowLeaseResponse
 	refund := func() {
@@ -241,10 +248,6 @@ func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowL
 		refund()
 		return out, errEscrowNoOwner
 	}
-	if brk != nil && !brk.allow() {
-		refund()
-		return out, errEscrowCircuitOpen
-	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		refund()
@@ -260,37 +263,50 @@ func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowL
 	if tr := obs.FromContext(ctx); tr != nil {
 		httpReq.Header.Set(obs.TraceHeader, tr.ID)
 	}
-	httpResp, err := m.srv.forwardClient.Do(httpReq)
-	if err != nil {
-		if brk != nil {
+	if brk != nil && !brk.allow() {
+		refund()
+		return out, errEscrowCircuitOpen
+	}
+	out, err = m.postLease(httpReq)
+	if brk != nil {
+		var answer *escrowLeaseError
+		switch {
+		case err == nil, errors.As(err, &answer) && answer.status < http.StatusInternalServerError:
+			brk.success()
+		case ctx.Err() != nil:
+			brk.abort()
+		default:
 			brk.fail()
 		}
+	}
+	if err != nil {
 		refund()
+	}
+	return out, err
+}
+
+// postLease performs the lease round trip. A non-200 answer comes back as an
+// *escrowLeaseError carrying the owner's status.
+func (m *escrowManager) postLease(httpReq *http.Request) (escrowLeaseResponse, error) {
+	var out escrowLeaseResponse
+	httpResp, err := m.srv.forwardClient.Do(httpReq)
+	if err != nil {
 		return out, err
 	}
 	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, maxRelayBytes))
-	if err != nil || httpResp.StatusCode != http.StatusOK {
-		// A non-200 is an answer (ownership disagreement, unknown tenant) —
-		// the peer is alive, so only transport failures charge the breaker.
-		if err != nil && brk != nil {
-			brk.fail()
-		}
-		refund()
-		if err == nil {
-			err = &escrowLeaseError{status: httpResp.StatusCode, body: strings.TrimSpace(string(raw))}
-		}
+	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, maxLeaseReplyBytes))
+	if err != nil {
 		return out, err
 	}
-	if brk != nil {
-		brk.success()
+	if httpResp.StatusCode != http.StatusOK {
+		return out, &escrowLeaseError{status: httpResp.StatusCode, body: strings.TrimSpace(string(raw))}
 	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		refund()
-		return out, err
-	}
-	return out, nil
+	return out, json.Unmarshal(raw, &out)
 }
+
+// maxLeaseReplyBytes caps a buffered lease answer: far above any real
+// reply, it only guards against a misbehaving peer.
+const maxLeaseReplyBytes = 1 << 20
 
 type escrowLeaseError struct {
 	status int

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
+	"chronos"
 	"chronos/internal/ring"
 )
 
@@ -18,41 +24,208 @@ func metricAtLeast(text, prefix string, min int) bool {
 	return err == nil && v >= float64(min)
 }
 
-// TestFleetHealthEvictionReplicaReadAndHandoff is the tentpole acceptance
-// scenario, run under -race:
-//
-//  1. A 3-replica fleet with heartbeat membership and replication factor 2
-//     solves one plan; the owner asynchronously pushes the hot entry to the
-//     key's first ring successor.
-//  2. The owner's listener dies. A request for the key through the third
-//     replica is served WARM from the successor's replica copy — no cold
-//     solve — and counts as a ring replica read.
-//  3. The survivors' health monitors evict the dead owner from their
-//     effective rings within the suspect window.
-//  4. The owner comes back on the same address; the survivors re-admit it,
-//     and the successor hands the remapped hot entry back, so the owner
-//     rejoins warm.
-func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
+// testClientHeader marks the requests a fleet test sends itself; any request
+// a replica receives without it came from a peer.
+const testClientHeader = "X-Fleet-Test-Client"
+
+// peerLog records the path of every request a replica received from a peer.
+type peerLog struct {
+	mu    sync.Mutex
+	paths []string
+}
+
+func (l *peerLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(testClientHeader) == "" {
+			l.mu.Lock()
+			l.paths = append(l.paths, r.URL.Path)
+			l.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+func (l *peerLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.paths...)
+}
+
+// postAsClient posts body to url as the test client and returns the status
+// and raw answer.
+func postAsClient(t *testing.T, url string, body any) (int, []byte) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(testClientHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestFleetServesEveryPlanLocally is the local-serving contract of an
+// escrow fleet, for 2 and 3 replicas: the same /v1/plan and /v1/admit keys
+// sent through every replica get exactly the solo server's answers (only
+// cached and budgetRemaining may differ), no replica ever hands a plan-path
+// request to a peer — the only cross-replica traffic is /v1/escrow/lease —
+// and per tenant the owner's pool plus the holders' leases equal the
+// budget minus what the fleet admitted.
+func TestFleetServesEveryPlanLocally(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
+			testFleetServesEveryPlanLocally(t, n)
+		})
+	}
+}
+
+func testFleetServesEveryPlanLocally(t *testing.T, n int) {
+	const budget = 1e9
+	solo, soloTS := newTestServer(t, Config{Tenants: multiTenantRegistry(t, budget), Escrow: true})
+	t.Cleanup(solo.Close)
+
+	servers := make([]*Server, n)
+	urls := make([]string, n)
+	logs := make([]*peerLog, n)
+	for i := range servers {
+		servers[i] = New(Config{Tenants: multiTenantRegistry(t, budget), Escrow: true, EscrowLeaseTTL: time.Hour})
+		t.Cleanup(servers[i].Close)
+		logs[i] = &peerLog{}
+		ts := httptest.NewServer(logs[i].wrap(servers[i].Handler()))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	for i, s := range servers {
+		if err := s.SetRing(ring.Membership{Self: urls[i], Peers: urls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One tenant per owner, so every replica is both an owner and a holder.
+	tenants := make([]string, n)
+	for i := range tenants {
+		tenants[i] = tenantOwnedBy(t, servers[0], urls[i])
+	}
+
+	type call struct {
+		path string
+		body any
+	}
+	var calls []call
+	for k := 0; k < 4; k++ {
+		job := testJob()
+		job.Tasks = 8 + 3*k
+		for _, strategy := range []string{"", "clone"} {
+			calls = append(calls, call{"/v1/plan", planRequest{Job: job, Econ: testEcon(), Strategy: strategy}})
+			for _, name := range tenants {
+				calls = append(calls,
+					call{"/v1/plan", planRequest{Job: job, Econ: testEcon(), Strategy: strategy, Tenant: name}},
+					call{"/v1/admit", admitRequest{Tenant: name, Job: job, Strategy: strategy}})
+			}
+		}
+	}
+
+	admitted := make(map[string]float64)
+	for _, c := range calls {
+		status, want := postAsClient(t, soloTS.URL+c.path, c.body)
+		if status != http.StatusOK {
+			t.Fatalf("solo %s %+v: status %d: %s", c.path, c.body, status, want)
+		}
+		for i, u := range urls {
+			status, got := postAsClient(t, u+c.path, c.body)
+			if status != http.StatusOK {
+				t.Fatalf("replica %d %s %+v: status %d: %s", i, c.path, c.body, status, got)
+			}
+			if c.path == "/v1/plan" {
+				var w, g planResponse
+				mustUnmarshal(t, want, &w)
+				mustUnmarshal(t, got, &g)
+				if g.Plan != w.Plan {
+					t.Fatalf("replica %d plan %+v, solo %+v", i, g.Plan, w.Plan)
+				}
+				if pr := c.body.(planRequest); pr.Tenant != "" {
+					admitted[pr.Tenant] += g.Plan.MachineTime
+				}
+				continue
+			}
+			var w, g admitResponse
+			mustUnmarshal(t, want, &w)
+			mustUnmarshal(t, got, &g)
+			if !g.Admitted || g.Admitted != w.Admitted || g.Tenant != w.Tenant ||
+				g.Reason != w.Reason || *g.Plan != *w.Plan {
+				t.Fatalf("replica %d admit %+v (plan %+v), solo %+v (plan %+v)", i, g, g.Plan, w, w.Plan)
+			}
+			admitted[g.Tenant] += g.Plan.MachineTime
+		}
+	}
+
+	leaseCalls := 0
+	for i, l := range logs {
+		for _, p := range l.snapshot() {
+			if p != escrowPath {
+				t.Errorf("replica %d received %s from a peer; only %s may cross replicas", i, p, escrowPath)
+			}
+			leaseCalls++
+		}
+	}
+	if leaseCalls == 0 {
+		t.Error("no escrow lease call crossed replicas; the holders never leased")
+	}
+
+	for owner, name := range tenants {
+		level := servers[owner].Tenants().Get(name).Remaining()
+		for i, s := range servers {
+			if i != owner {
+				level += s.escrow.lease(name).Level()
+			}
+		}
+		if want := budget - admitted[name]; level < want-1e-3 || level > want+1e-3 {
+			t.Errorf("tenant %s: owner pool + holder leases = %.6f, want budget - admitted = %.6f",
+				name, level, want)
+		}
+	}
+}
+
+func mustUnmarshal(t *testing.T, raw []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("decoding %s: %v", raw, err)
+	}
+}
+
+// TestFleetHealthEvictionAndReadmission runs heartbeat membership under
+// -race: in a 3-replica fleet one replica's listener dies, both survivors
+// evict it from their ring views within the suspect window and keep
+// answering plans themselves, and when it comes back on the same address
+// both re-admit it.
+func TestFleetHealthEvictionAndReadmission(t *testing.T) {
 	const n = 3
 	servers := make([]*Server, n)
 	httpSrvs := make([]*http.Server, n)
 	urls := make([]string, n)
-	solves := make([]atomic.Int32, n)
 
 	// The fleet runs on real net.Listeners (not httptest) because the dead
-	// owner's port must be re-bindable for the re-admission half.
+	// replica's port must be re-bindable for the re-admission half.
 	for i := 0; i < n; i++ {
 		i := i
 		servers[i] = New(Config{
 			HeartbeatInterval: 50 * time.Millisecond,
 			SuspectAfter:      3,
 			ReadmitAfter:      2,
-			Replication:       2,
-			BreakerThreshold:  1,
-			BreakerCooldown:   50 * time.Millisecond,
 		})
 		t.Cleanup(servers[i].Close)
-		servers[i].solveHook = func(string) { solves[i].Add(1) }
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -67,125 +240,57 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 			t.Fatalf("SetRing(replica %d): %v", i, err)
 		}
 	}
-	totalSolves := func() int32 {
-		var sum int32
-		for i := range solves {
-			sum += solves[i].Load()
-		}
-		return sum
-	}
+	const dead = 0
+	survivors := []int{1, 2}
 
-	// Locate the key's owner and first successor on the shared ring view.
-	req := planRequest{Job: testJob(), Econ: testEcon()}
-	key := planKey("", req.Job, req.Econ)
-	succ := servers[0].ringSt.Load().ring.Successors(key, 2)
-	if len(succ) != 2 {
-		t.Fatalf("Successors(key, 2) = %v", succ)
-	}
-	idxOf := func(url string) int {
-		for i, u := range urls {
-			if u == url {
-				return i
-			}
-		}
-		t.Fatalf("%q is not a fleet member", url)
-		return -1
-	}
-	owner, backup := idxOf(succ[0]), idxOf(succ[1])
-	other := 3 - owner - backup // the replica holding neither copy
-
-	// 1. Solve through the non-owning, non-backup replica: the owner
-	// computes and caches, then replicates the hot entry to the backup.
-	resp := postJSON(t, urls[other]+"/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("initial plan: status = %d, want 200", resp.StatusCode)
-	}
-	if first := decodeBody[planResponse](t, resp); first.Cached {
-		t.Fatal("first fleet request cannot be cached")
-	}
-	if got := totalSolves(); got != 1 {
-		t.Fatalf("initial plan cost %d solves, want 1", got)
-	}
-	waitFor(t, "replica copy on the backup", func() bool {
-		return servers[backup].cache.peekBytes([]byte(key))
-	})
-
-	// 2. Kill the owner and immediately re-request the key through the
-	// third replica: the forward walks owner (dead, breaker trips) then the
-	// backup, which answers warm from its replica copy.
-	if err := httpSrvs[owner].Close(); err != nil {
+	if err := httpSrvs[dead].Close(); err != nil {
 		t.Fatal(err)
 	}
-	servers[owner].FlushCache() // its in-process cache must not mask the handoff later
-	resp = postJSON(t, urls[other]+"/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan with dead owner: status = %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get(ServedByHeader); got != urls[backup] {
-		t.Errorf("dead-owner plan served by %q, want backup %q", got, urls[backup])
-	}
-	warm := decodeBody[planResponse](t, resp)
-	if !warm.Cached {
-		t.Error("replica read must hit the backup's warm copy")
-	}
-	if got := totalSolves(); got != 1 {
-		t.Errorf("owner death cost %d extra solves, want 0 (warm replica read)", got-1)
-	}
-	if text := getMetricsText(t, urls[other]); !metricAtLeast(text, "chronosd_ring_replica_reads_total", 1) {
-		t.Errorf("chronosd_ring_replica_reads_total = %q on the forwarding replica, want >= 1",
-			metricValue(text, "chronosd_ring_replica_reads_total"))
-	}
-
-	// 3. Both survivors evict the dead owner from their effective rings.
-	for _, i := range []int{backup, other} {
+	for _, i := range survivors {
 		i := i
 		waitFor(t, "eviction on replica "+strconv.Itoa(i), func() bool {
 			_, members := servers[i].RingMembers()
 			return len(members) == 2
 		})
+		resp := postJSON(t, urls[i]+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan via survivor %d: status = %d, want 200", i, resp.StatusCode)
+		}
+		want, err := chronos.OptimizeBest(testJob(), testEcon())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decodeBody[planResponse](t, resp); got.Plan != want {
+			t.Errorf("survivor %d plan %+v, want %+v", i, got.Plan, want)
+		}
 	}
-	text := getMetricsText(t, urls[other])
+	text := getMetricsText(t, urls[1])
 	if !metricAtLeast(text, "chronosd_ring_evictions_total", 1) {
 		t.Errorf("chronosd_ring_evictions_total = %q, want >= 1",
 			metricValue(text, "chronosd_ring_evictions_total"))
 	}
-	failLine := "chronosd_ring_heartbeat_failures_total{peer=\"" + urls[owner] + "\"}"
+	failLine := "chronosd_ring_heartbeat_failures_total{peer=\"" + urls[dead] + "\"}"
 	if !metricAtLeast(text, failLine, 1) {
 		t.Errorf("%s = %q, want >= 1", failLine, metricValue(text, failLine))
 	}
 
-	// 4. Restart the owner on its old address: the survivors re-admit it
-	// and the backup hands the remapped hot entry back.
-	ln, err := net.Listen("tcp", urls[owner][len("http://"):])
+	// Restart the dead replica on its old address: the survivors re-admit it.
+	ln, err := net.Listen("tcp", urls[dead][len("http://"):])
 	if err != nil {
 		t.Fatal(err)
 	}
-	restarted := &http.Server{Handler: servers[owner].Handler()}
+	restarted := &http.Server{Handler: servers[dead].Handler()}
 	go restarted.Serve(ln)
 	t.Cleanup(func() { restarted.Close() })
-
-	for _, i := range []int{backup, other} {
+	for _, i := range survivors {
 		i := i
 		waitFor(t, "re-admission on replica "+strconv.Itoa(i), func() bool {
 			_, members := servers[i].RingMembers()
 			return len(members) == 3
 		})
 	}
-	waitFor(t, "warm handoff back to the owner", func() bool {
-		return servers[owner].cache.peekBytes([]byte(key))
-	})
-	text = getMetricsText(t, urls[other])
-	if !metricAtLeast(text, "chronosd_ring_readmits_total", 1) {
+	if text := getMetricsText(t, urls[1]); !metricAtLeast(text, "chronosd_ring_readmits_total", 1) {
 		t.Errorf("chronosd_ring_readmits_total = %q, want >= 1",
 			metricValue(text, "chronosd_ring_readmits_total"))
-	}
-	if bt := getMetricsText(t, urls[backup]); !metricAtLeast(bt, "chronosd_ring_handoff_entries_total", 1) {
-		t.Errorf("chronosd_ring_handoff_entries_total = %q on the backup, want >= 1",
-			metricValue(bt, "chronosd_ring_handoff_entries_total"))
-	}
-
-	// The whole death-and-rebirth cycle never re-solved the plan.
-	if got := totalSolves(); got != 1 {
-		t.Errorf("fleet performed %d solves across the cycle, want 1", got)
 	}
 }

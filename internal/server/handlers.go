@@ -259,16 +259,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Econ = tenantEcon(req.Econ, pool)
 	}
-	// Sharded serving: when another replica owns this plan key, proxy the
-	// request there so the fleet's caches partition the keyspace instead of
-	// overlapping. The forwarded request carries the tenant-filled econ, so
-	// the owner's cache key matches this routing decision.
 	qStart := time.Now()
 	hb.key = plankey.AppendKey(hb.key[:0], cacheStrategyName(strat, best), req.Job, req.Econ)
 	tr.Observe(obs.StageQuantize, time.Since(qStart))
-	if s.forwardToOwner(w, r, "/v1/plan", hb.key, req) {
-		return
-	}
 	plan, cached, err := s.cachedPlanKeyedBytes(tr, hb.key, strat, best, req.Job, req.Econ)
 	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)

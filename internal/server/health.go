@@ -10,20 +10,19 @@ import (
 )
 
 // Health-driven fleet membership. A static ring (-self/-peers + SIGHUP) means
-// a dead replica keeps owning its arc: every request for its keys pays a
-// breaker trip and a cold local fallback until an operator edits the config.
-// The heartbeat monitor closes that loop without any SWIM-style gossip: each
-// replica probes every configured member's GET /healthz on a fixed interval,
-// evicts a member from its EFFECTIVE ring view after SuspectAfter
-// consecutive failures, and re-admits it after ReadmitAfter consecutive
-// successes. Eviction remaps each of the dead member's keys to the key's
-// first ring successor — exactly the replica that holds its hot copy when
-// the replication factor is >1 — and re-admission triggers the warm handoff
-// that streams the remapped entries back (see applyRing).
+// a dead replica keeps owning its tenant pools: every lease call to it pays
+// a breaker trip until an operator edits the config. The heartbeat monitor
+// closes that loop without any SWIM-style gossip: each replica probes every
+// configured member's GET /healthz on a fixed interval, evicts a member from
+// its EFFECTIVE ring view after SuspectAfter consecutive failures, and
+// re-admits it after ReadmitAfter consecutive successes. Eviction remaps
+// each of the dead member's tenant keys to the member whose virtual point
+// follows it clockwise (see applyRing).
 //
 // Views are per-replica and eventually consistent: two replicas may briefly
-// disagree about a flapping member, which costs at most the usual one-hop
-// forward + ownership-drift fallback, never a wrong answer.
+// disagree about a flapping member, which costs a lease call answered 409
+// not_owner (the holder retries on its next top-up), never a wrong plan —
+// plans never depend on membership.
 
 // healthState is the monitor's view of the fleet: the operator-configured
 // membership plus per-member probe counters and the current suspect set.

@@ -15,8 +15,8 @@ import (
 )
 
 // stageBuckets covers the per-stage span range: a sharded cache lookup is
-// ~100 ns, a cold three-strategy solve ~500 µs, a cross-replica forward or a
-// long replay's cumulative event writes can reach seconds. The default
+// ~100 ns, a cold three-strategy solve ~500 µs, an escrow lease round trip
+// or a long replay's cumulative event writes can reach seconds. The default
 // request-latency buckets bottom out at 100 µs — far too coarse here.
 func stageBuckets() []float64 {
 	return []float64{
@@ -43,29 +43,12 @@ type serverMetrics struct {
 	replayJobs     metrics.Counter
 	replayEvents   metrics.Counter
 
-	// Ring series: per-peer forwards and forward failures, plus the
-	// aggregate fallback/guard counters of the sharded serving path.
-	ringForwards map[string]*metrics.Counter // by peer URL
-	ringErrors   map[string]*metrics.Counter // by peer URL
-	// ringLocalFallbacks counts requests computed locally although another
-	// replica owned the key (circuit open, forward failed, or owner 5xx).
-	ringLocalFallbacks metrics.Counter
-	// ringReceivedForwards counts requests that arrived with the single-hop
-	// guard header and were therefore computed locally.
-	ringReceivedForwards metrics.Counter
-
 	// Fleet-health series. ringHeartbeatFails counts failed liveness probes
 	// per configured member; ringEvictions/ringReadmits count suspect/alive
 	// membership transitions this replica applied to its effective ring.
 	ringHeartbeatFails map[string]*metrics.Counter // by peer URL
 	ringEvictions      metrics.Counter
 	ringReadmits       metrics.Counter
-	// ringReplicaReads counts plan-keyed requests answered from a replica
-	// copy (local or remote) while the key's owner was unreachable;
-	// ringHandoffEntries counts cache entries streamed to their new owners
-	// on membership changes.
-	ringReplicaReads   metrics.Counter
-	ringHandoffEntries metrics.Counter
 
 	// encodeFailures counts responses whose JSON encoding failed (answered
 	// as HTTP 500 and logged at warn with the trace ID).
@@ -119,16 +102,6 @@ func (m *serverMetrics) peerCounter(byPeer map[string]*metrics.Counter, peer str
 	return c
 }
 
-// ringForwarded counts one successfully proxied request to peer.
-func (m *serverMetrics) ringForwarded(peer string) {
-	m.peerCounter(m.ringForwards, peer).Inc()
-}
-
-// ringPeerError counts one failed forward attempt to peer.
-func (m *serverMetrics) ringPeerError(peer string) {
-	m.peerCounter(m.ringErrors, peer).Inc()
-}
-
 // ringHeartbeatFailure counts one failed liveness probe of member.
 func (m *serverMetrics) ringHeartbeatFailure(member string) {
 	m.peerCounter(m.ringHeartbeatFails, member).Inc()
@@ -176,8 +149,6 @@ func newServerMetrics() *serverMetrics {
 		endpoints:          make(map[string]*endpointMetrics),
 		plans:              make(map[string]*metrics.Counter),
 		tenants:            make(map[string]*tenantMetrics),
-		ringForwards:       make(map[string]*metrics.Counter),
-		ringErrors:         make(map[string]*metrics.Counter),
 		ringHeartbeatFails: make(map[string]*metrics.Counter),
 		escrowGrants:       make(map[string]*metrics.Counter),
 		escrowTopups:       make(map[string]*metrics.Counter),
@@ -494,7 +465,7 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 	fmt.Fprintln(w, "# TYPE chronosd_replay_events_total counter")
 	fmt.Fprintf(w, "chronosd_replay_events_total %d\n", m.replayEvents.Value())
 
-	fmt.Fprintln(w, "# HELP chronosd_ring_nodes Replicas in the consistent-hash ring (0 = sharding off).")
+	fmt.Fprintln(w, "# HELP chronosd_ring_nodes Replicas in the consistent-hash ring (0 = solo replica).")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_nodes gauge")
 	nodes := 0
 	if rs != nil {
@@ -502,22 +473,10 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 	}
 	fmt.Fprintf(w, "chronosd_ring_nodes %d\n", nodes)
 	if rs != nil {
-		fmt.Fprintln(w, "# HELP chronosd_ring_owned_fraction Fraction of the plan keyspace this replica owns.")
+		fmt.Fprintln(w, "# HELP chronosd_ring_owned_fraction Fraction of the tenant keyspace this replica owns.")
 		fmt.Fprintln(w, "# TYPE chronosd_ring_owned_fraction gauge")
 		fmt.Fprintf(w, "chronosd_ring_owned_fraction %g\n", rs.ring.OwnedFraction(rs.self))
 	}
-	fmt.Fprintln(w, "# HELP chronosd_ring_forwarded_total Requests proxied to the owning replica, by peer.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_forwarded_total counter")
-	m.writePeerLabeled(w, "chronosd_ring_forwarded_total", m.ringForwards)
-	fmt.Fprintln(w, "# HELP chronosd_ring_peer_errors_total Failed forward attempts, by peer.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_peer_errors_total counter")
-	m.writePeerLabeled(w, "chronosd_ring_peer_errors_total", m.ringErrors)
-	fmt.Fprintln(w, "# HELP chronosd_ring_local_fallbacks_total Non-owned keys computed locally because the owner was unreachable.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_local_fallbacks_total counter")
-	fmt.Fprintf(w, "chronosd_ring_local_fallbacks_total %d\n", m.ringLocalFallbacks.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_received_forwards_total Requests served under the single-hop forwarding guard.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_received_forwards_total counter")
-	fmt.Fprintf(w, "chronosd_ring_received_forwards_total %d\n", m.ringReceivedForwards.Value())
 	fmt.Fprintln(w, "# HELP chronosd_ring_heartbeat_failures_total Failed liveness probes, by configured member.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_heartbeat_failures_total counter")
 	m.writePeerLabeled(w, "chronosd_ring_heartbeat_failures_total", m.ringHeartbeatFails)
@@ -527,12 +486,6 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 	fmt.Fprintln(w, "# HELP chronosd_ring_readmits_total Suspected members re-admitted after recovery.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_readmits_total counter")
 	fmt.Fprintf(w, "chronosd_ring_readmits_total %d\n", m.ringReadmits.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_replica_reads_total Plan-keyed requests answered from a replica copy while the owner was unreachable.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_replica_reads_total counter")
-	fmt.Fprintf(w, "chronosd_ring_replica_reads_total %d\n", m.ringReplicaReads.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_handoff_entries_total Cache entries streamed to their new owners on membership changes.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_handoff_entries_total counter")
-	fmt.Fprintf(w, "chronosd_ring_handoff_entries_total %d\n", m.ringHandoffEntries.Value())
 
 	fmt.Fprintln(w, "# HELP chronosd_response_encode_failures_total Responses whose JSON encoding failed (answered as HTTP 500).")
 	fmt.Fprintln(w, "# TYPE chronosd_response_encode_failures_total counter")

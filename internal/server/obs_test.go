@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"chronos/internal/obs"
 )
@@ -114,23 +115,27 @@ func TestPlanTraceRecordsStages(t *testing.T) {
 	}
 }
 
-// TestFleetTraceSpansForwardHop is the acceptance scenario: one /v1/plan
-// request sent with an explicit trace ID through a non-owning replica must
-// leave the SAME trace ID in the response header and in BOTH replicas' span
-// records — the forwarder's with a forward span, the owner's marked as the
-// forwarded hop with the solve work.
-func TestFleetTraceSpansForwardHop(t *testing.T) {
-	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon()}
-	owner := fleetOwner(t, servers, listeners, req)
-	via := (owner + 1) % 3
+// TestFleetTraceSpansLeaseHop: an admit sent with an explicit trace ID to a
+// holder replica whose lease is dry must leave the SAME trace ID in the
+// response header, in the holder's span record (with the escrow span of
+// its top-up and the solve it ran itself), and in the owner's record of
+// the lease call — the one request that crosses replicas.
+func TestFleetTraceSpansLeaseHop(t *testing.T) {
+	servers, listeners := newRingFleet(t, 2, func(int) Config {
+		return Config{Tenants: multiTenantRegistry(t, 1e9), Escrow: true, EscrowLeaseTTL: time.Hour}
+	})
+	for _, s := range servers {
+		t.Cleanup(s.Close)
+	}
+	owner, holder := 0, 1
+	name := tenantOwnedBy(t, servers[holder], listeners[owner].URL)
 
 	const traceID = "fleet-trace-test-1"
-	raw, err := json.Marshal(req)
+	raw, err := json.Marshal(admitRequest{Tenant: name, Job: testJob(), Econ: testEcon()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, listeners[via].URL+"/v1/plan", bytes.NewReader(raw))
+	hreq, err := http.NewRequest(http.MethodPost, listeners[holder].URL+"/v1/admit", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,60 +145,36 @@ func TestFleetTraceSpansForwardHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 	if got := resp.Header.Get(obs.TraceHeader); got != traceID {
-		t.Errorf("response trace ID = %q, want %q to survive the forward hop", got, traceID)
+		t.Errorf("response trace ID = %q, want %q", got, traceID)
 	}
-	if got := resp.Header.Get(ServedByHeader); got != listeners[owner].URL {
-		t.Fatalf("served by %q, want owner %q (test needs a real forward)", got, listeners[owner].URL)
+	if dec := decodeBody[admitResponse](t, resp); !dec.Admitted {
+		t.Fatalf("admit rejected: %+v", dec)
 	}
 
-	fwd := servers[via].Traces().Find(traceID)
-	if fwd == nil {
-		t.Fatal("forwarding replica retained no snapshot for the trace")
+	held := servers[holder].Traces().Find(traceID)
+	if held == nil {
+		t.Fatal("holder retained no snapshot for the trace")
 	}
-	if fwd.StageCounts[obs.StageForward] == 0 {
-		t.Error("forwarding replica's snapshot has no forward span")
+	if held.StageCounts[obs.StageEscrow] == 0 || held.StageSeconds(obs.StageEscrow) <= 0 {
+		t.Error("holder's snapshot has no timed escrow span for its lease top-up")
 	}
-	if fwd.ForwardHop {
-		t.Error("forwarding replica marked itself as the forwarded hop")
-	}
-	if fwd.ServedBy != listeners[owner].URL {
-		t.Errorf("forwarder snapshot servedBy = %q, want owner", fwd.ServedBy)
-	}
-	if fwd.StageSeconds(obs.StageForward) <= 0 {
-		t.Error("forward span has no accumulated time")
+	if held.StageCounts[obs.StageSolve] == 0 {
+		t.Error("holder's snapshot has no solve span (it plans its own requests)")
 	}
 
 	own := servers[owner].Traces().Find(traceID)
 	if own == nil {
-		t.Fatal("owning replica retained no snapshot for the trace")
+		t.Fatal("owner retained no snapshot for the lease call")
 	}
-	if !own.ForwardHop {
-		t.Error("owner's snapshot is not marked as a forwarded hop")
+	if own.Route != escrowPath {
+		t.Errorf("owner's snapshot route = %q, want %q", own.Route, escrowPath)
 	}
-	if own.StageCounts[obs.StageSolve] == 0 {
-		t.Error("owner's snapshot has no solve span (it computed the plan)")
-	}
-	if own.StageCounts[obs.StageForward] != 0 {
-		t.Error("owner recorded a forward span; the loop guard should prevent a second hop")
-	}
-
-	// The third replica never saw the request.
-	third := (owner + 2) % 3
-	if third == via {
-		third = (owner + 1) % 3
-	}
-	for i, s := range servers {
-		if i == via || i == owner {
-			continue
-		}
-		if s.Traces().Find(traceID) != nil {
-			t.Errorf("replica %d retained a snapshot for a request it never served", i)
-		}
+	if own.StageCounts[obs.StageSolve] != 0 {
+		t.Error("owner solved a plan for a request it never received")
 	}
 }
 

@@ -1,66 +1,43 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
 	"sync/atomic"
 	"time"
 
-	"chronos/internal/obs"
 	"chronos/internal/ring"
 )
 
-// Sharding headers. ForwardedFromHeader marks a request as already forwarded
-// once (its value is the sender's self URL); a replica that receives it
-// always computes locally, so ownership disagreements during a rolling
-// membership change degrade to one extra hop, never a forwarding loop.
-// ServedByHeader names the replica that actually computed (or cached) the
-// response, which is how the ring demo and the fleet tests observe
-// cross-replica serving.
-const (
-	ForwardedFromHeader = "X-Chronosd-Forwarded-From"
-	ServedByHeader      = "X-Chronosd-Served-By"
-)
-
 // ringState is one immutable view of the fleet: the consistent-hash ring
-// over the member URLs plus per-peer forwarding state. Membership changes
-// (SetRing, typically on SIGHUP) swap in a whole new ringState; in-flight
-// requests keep the view they started with.
+// over the member URLs, which decides each escrow tenant's pool owner, plus
+// per-peer lease-call state. Membership changes (SetRing on SIGHUP, or the
+// heartbeat monitor) swap in a whole new ringState; in-flight requests keep
+// the view they started with. Plans never consult it: every replica plans
+// every request it receives.
 type ringState struct {
 	ring  *ring.Ring
 	self  string
 	peers map[string]*peerState // by member URL, excluding self
-	// replication is the hot-key copy count R: the owner plus the next R−1
-	// ring successors hold each cached plan, and a forward that cannot reach
-	// the owner reads from a replica before falling back to cold compute.
-	replication int
-	// selfHdr is the precomputed ServedByHeader value assigned into hot
-	// responses' header maps; immutable for the ringState's lifetime, so
-	// sharing one slice across requests is safe.
-	selfHdr []string
 }
 
 // peerState carries what this replica knows about one peer: its base URL and
-// the circuit breaker guarding forwards to it. It survives membership
-// reloads for peers that remain in the fleet, so a reload does not reset a
-// deliberately opened circuit.
+// the circuit breaker guarding escrow lease calls to it. It survives
+// membership reloads for peers that remain in the fleet, so a reload does not
+// reset a deliberately opened circuit.
 type peerState struct {
 	base    string
 	breaker breaker
 }
 
 // breaker is a consecutive-failure circuit breaker with a half-open probe.
-// After threshold consecutive forward failures the circuit opens for
-// cooldown, during which forwards to the peer are skipped in favor of local
-// computation — keeping a dead replica from adding a connect-timeout to
-// every request it used to own. When the cooldown expires, exactly ONE
-// request wins the CAS in allow and becomes the half-open probe; everyone
-// else keeps falling back locally until that probe's verdict lands. A
-// successful probe closes the circuit, a failed one re-opens it for a fresh
-// cooldown — so a still-dead peer costs at most one connect-timeout per
-// cooldown window, not threshold of them.
+// After threshold consecutive lease-call failures the circuit opens for
+// cooldown, during which lease calls to the peer are skipped (the holder
+// debits only what its lease already holds) — keeping a dead pool owner from
+// adding a connect-timeout to every admit that needs a top-up. When the
+// cooldown expires, exactly ONE call wins the CAS in allow and becomes the
+// half-open probe; everyone else keeps skipping the peer until that probe's
+// verdict lands. A successful probe closes the circuit, a failed one
+// re-opens it for a fresh cooldown — so a still-dead peer costs at most one
+// connect-timeout per cooldown window, not threshold of them.
 //
 // The whole state machine lives in one atomic word (gate) so a trip is a
 // single CAS: there is no window where the state says open but the deadline
@@ -85,7 +62,7 @@ const (
 	gateExpired int64 = 1
 )
 
-// allow reports whether a forward may be attempted now. Winning the
+// allow reports whether a lease call may be attempted now. Winning the
 // open→probing CAS claims the single half-open probe slot; the caller MUST
 // settle it by calling fail, success, or abort.
 func (b *breaker) allow() bool {
@@ -103,7 +80,7 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// fail records one forward failure: a failed half-open probe re-opens the
+// fail records one lease-call failure: a failed half-open probe re-opens the
 // circuit immediately; a closed-state failure advances the consecutive
 // counter and trips at the threshold. A failure while the circuit is
 // already open (an in-flight straggler) only bumps the counter — it never
@@ -141,9 +118,10 @@ func (b *breaker) abort() {
 }
 
 // SetRing swaps the operator-configured fleet membership, rebuilding the
-// consistent-hash ring. A zero Membership disables sharding (every key is
-// computed locally). chronosd calls this on SIGHUP alongside SetTenants, so
-// one signal reloads both tenant budgets and ring membership.
+// consistent-hash ring that assigns escrow tenant pools to replicas. A zero
+// Membership makes this replica a solo server that owns every tenant.
+// chronosd calls this on SIGHUP alongside SetTenants, so one signal reloads
+// both tenant budgets and ring membership.
 //
 // The configured membership is the operator's intent; the ring actually
 // served from is the EFFECTIVE membership — configured minus the members
@@ -172,12 +150,10 @@ func (s *Server) SetRing(m ring.Membership) error {
 	return nil
 }
 
-// applyRing swaps in a new effective ring over members (nil disables
-// sharding). Circuit-breaker state carries over for peers present in both
-// the old and new view; an evicted peer's breaker is dropped, so a
-// re-admitted member starts with a closed circuit. When the member set
-// actually changed, the remapped slice of the hot cache is streamed to its
-// new owners in the background (warm handoff).
+// applyRing swaps in a new effective ring over members (nil makes this
+// replica solo). Circuit-breaker state carries over for peers present in
+// both the old and new view; an evicted peer's breaker is dropped, so a
+// re-admitted member starts with a closed circuit.
 func (s *Server) applyRing(self string, members []string) {
 	if len(members) == 0 {
 		s.ringSt.Store(nil)
@@ -201,34 +177,11 @@ func (s *Server) applyRing(self string, members []string) {
 			cooldown:  s.cfg.BreakerCooldown,
 		}}
 	}
-	cur := &ringState{
-		ring:        r,
-		self:        self,
-		peers:       peers,
-		replication: s.cfg.Replication,
-		selfHdr:     []string{self},
-	}
-	s.ringSt.Store(cur)
-	if old != nil && old.self == self && !sameMembers(old.ring.Nodes(), r.Nodes()) {
-		go s.handoffRemapped(old, cur)
-	}
+	s.ringSt.Store(&ringState{ring: r, self: self, peers: peers})
 }
 
-// sameMembers compares two sorted member lists.
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RingMembers returns the current membership view (empty when sharding is
-// disabled). Exposed for tests and embedders.
+// RingMembers returns the current membership view (empty on a solo
+// replica). Exposed for tests and embedders.
 func (s *Server) RingMembers() (self string, members []string) {
 	rs := s.ringSt.Load()
 	if rs == nil {
@@ -236,200 +189,3 @@ func (s *Server) RingMembers() (self string, members []string) {
 	}
 	return rs.self, rs.ring.Nodes()
 }
-
-// forwardToOwner implements the sharded serving path for one plan-keyed
-// request. It returns true when the response has been fully written (the
-// request was proxied to the owning replica or a live replica of the key);
-// false means the caller must compute locally — either because this replica
-// owns the key (or holds a replica copy of it), sharding is off, the
-// request already took its one forwarding hop, or no replica of the key is
-// reachable and we fall back to local computation rather than failing the
-// request.
-//
-// With replication factor R > 1 the key's targets are the owner followed by
-// the next R−1 ring successors — the replicas the owner pushes hot entries
-// to — tried in order, skipping any whose circuit is open. A response served
-// by a non-owner counts as a replica read: the warm copy answered while the
-// owner was down, which is the entire point of the replication factor.
-//
-// payload is the decoded request, re-marshaled for the forward so that
-// fields this replica resolved (e.g. tenant econ defaults) travel with it
-// and the owner computes the exact cache key the routing decision used.
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path string, key []byte, payload any) bool {
-	rs := s.ringSt.Load()
-	if rs == nil {
-		return false
-	}
-	// A replica that computes locally stamps itself; the proxy branch below
-	// overwrites this with the owner's stamp when the forward succeeds. The
-	// shared immutable slice goes straight into the header map (canonical
-	// key) so the hot path's stamp does not allocate.
-	w.Header()[ServedByHeader] = rs.selfHdr
-	if r.Header.Get(ForwardedFromHeader) != "" {
-		// Single-hop guard: this request was already forwarded once.
-		s.metrics.ringReceivedForwards.Inc()
-		return false
-	}
-	owner, ok := rs.ring.OwnerBytes(key)
-	if !ok || owner == rs.self {
-		return false
-	}
-	var body []byte // marshaled before the first actual forward attempt
-	for i, target := range rs.targetsFor(key, owner) {
-		if target == rs.self {
-			// This replica holds (or should hold) a replica copy of the key:
-			// serve it from the local cache instead of forwarding onward. A
-			// warm local copy is a replica read; a cold one just means the
-			// local fallback recomputes.
-			if i > 0 && s.cache.peekBytes(key) {
-				s.metrics.ringReplicaReads.Inc()
-			}
-			return false
-		}
-		peer := rs.peers[target]
-		if peer == nil {
-			// Membership raced a reload between Owner and the peer lookup;
-			// serving locally is always safe.
-			return false
-		}
-		if !peer.breaker.allow() {
-			continue
-		}
-		if body == nil {
-			var err error
-			if body, err = json.Marshal(payload); err != nil {
-				peer.breaker.abort()
-				return false
-			}
-		}
-		switch s.forwardTo(w, r, rs, peer, path, body) {
-		case fwdServed:
-			if i > 0 {
-				s.metrics.ringReplicaReads.Inc()
-			}
-			return true
-		case fwdClientGone:
-			// The client went away mid-forward. The peer's health is not in
-			// question — its breaker was released, not charged — and a local
-			// fallback would compute a plan nobody reads; drop the request.
-			return true
-		case fwdServeLocal:
-			s.metrics.ringLocalFallbacks.Inc()
-			return false
-		case fwdPeerDown:
-			// Breaker charged inside forwardTo; try the next replica.
-		}
-	}
-	s.metrics.ringLocalFallbacks.Inc()
-	return false
-}
-
-// targetsFor returns the replicas to try for key, owner first. With R == 1
-// that is just the owner (no slice walk, no allocation beyond the literal);
-// with R > 1 the ring's successor list already leads with the owner.
-func (rs *ringState) targetsFor(key []byte, owner string) []string {
-	if rs.replication <= 1 {
-		return []string{owner}
-	}
-	return rs.ring.SuccessorsBytes(key, rs.replication)
-}
-
-// forwardOutcome is one forward attempt's verdict.
-type forwardOutcome int
-
-const (
-	// fwdServed: the peer's response was relayed; the request is done.
-	fwdServed forwardOutcome = iota
-	// fwdPeerDown: the peer failed (unreachable, 5xx, or bad body); its
-	// breaker has been charged and the caller may try the next replica.
-	fwdPeerDown
-	// fwdServeLocal: the peer is healthy but declined (404 ownership
-	// drift); compute locally, trying further replicas would be wrong.
-	fwdServeLocal
-	// fwdClientGone: our client disconnected mid-forward; drop the request.
-	fwdClientGone
-)
-
-// forwardTo performs one forward attempt against peer and settles its
-// breaker: success/404 close it, failure charges it, a client disconnect
-// releases a claimed half-open probe without judging the peer.
-func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, rs *ringState, peer *peerState, path string, body []byte) forwardOutcome {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		peer.base+path, bytes.NewReader(body))
-	if err != nil {
-		peer.breaker.abort()
-		return fwdServeLocal
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedFromHeader, rs.self)
-	// The trace ID travels with the forward so the peer's span record,
-	// logs, and response carry the same ID this replica minted (or
-	// honored); each attempt — request out through body read — is one
-	// StageForward span on this side.
-	tr := obs.FromContext(r.Context())
-	if tr != nil {
-		req.Header.Set(obs.TraceHeader, tr.ID)
-	}
-	fwdStart := time.Now()
-	defer func() { tr.Observe(obs.StageForward, time.Since(fwdStart)) }()
-	resp, err := s.forwardClient.Do(req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			peer.breaker.abort()
-			return fwdClientGone
-		}
-		peer.breaker.fail()
-		s.metrics.ringPeerError(peer.base)
-		return fwdPeerDown
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= http.StatusInternalServerError {
-		// The peer answered but is unhealthy; treat like unreachable and
-		// let the caller degrade rather than relaying its failure.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		peer.breaker.fail()
-		s.metrics.ringPeerError(peer.base)
-		return fwdPeerDown
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		// Config drift during a rolling rollout: this replica resolved the
-		// request (tenant lookup included) before forwarding, so a peer 404
-		// means its view disagrees — serve locally instead of failing a
-		// request we know how to answer. The peer is demonstrably alive, so
-		// this settles a half-open probe as passed and resets the
-		// consecutive-failure count.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		peer.breaker.success()
-		return fwdServeLocal
-	}
-	// Buffer the full answer before committing the status line: a peer
-	// that stalls mid-body inside the forward timeout must degrade to local
-	// fallback, not to a 200 with a truncated JSON body the client cannot
-	// decode. Plan and admit answers are small; the cap only guards a
-	// misbehaving peer.
-	relayed, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
-	if err != nil || len(relayed) > maxRelayBytes {
-		if r.Context().Err() != nil {
-			peer.breaker.abort()
-			return fwdClientGone
-		}
-		peer.breaker.fail()
-		s.metrics.ringPeerError(peer.base)
-		return fwdPeerDown
-	}
-	peer.breaker.success()
-	s.metrics.ringForwarded(peer.base)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if sb := resp.Header.Get(ServedByHeader); sb != "" {
-		w.Header().Set(ServedByHeader, sb)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(relayed)
-	return fwdServed
-}
-
-// maxRelayBytes caps a buffered forwarded response. Far above any real plan
-// or admit answer; a peer streaming more than this is broken.
-const maxRelayBytes = 1 << 20

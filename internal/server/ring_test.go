@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"chronos"
 	"chronos/internal/ring"
+	"chronos/internal/tenant"
 )
 
 // newRingFleet boots n in-process replicas and joins them into one
@@ -39,29 +42,6 @@ func newRingFleet(t *testing.T, n int, mkCfg func(i int) Config) ([]*Server, []*
 		}
 	}
 	return servers, listeners
-}
-
-// fleetOwner resolves which replica index owns the plan key of req on
-// replica 0's ring view (all views agree by construction).
-func fleetOwner(t *testing.T, servers []*Server, listeners []*httptest.Server, req planRequest) int {
-	t.Helper()
-	strat, best, ok := keyStrategy(req.Strategy)
-	if !ok {
-		t.Fatalf("bad strategy %q", req.Strategy)
-	}
-	key := planKey(cacheStrategyName(strat, best), req.Job, req.Econ)
-	rs := servers[0].ringSt.Load()
-	owner, ok := rs.ring.Owner(key)
-	if !ok {
-		t.Fatal("ring has no owner")
-	}
-	for i, ts := range listeners {
-		if ts.URL == owner {
-			return i
-		}
-	}
-	t.Fatalf("owner %q is not a fleet member", owner)
-	return -1
 }
 
 func getMetricsText(t *testing.T, url string) string {
@@ -100,61 +80,127 @@ func metricValue(text, prefix string) string {
 	return ""
 }
 
-// TestFleetCrossReplicaCacheHit is the acceptance scenario: a key planned
-// through replica A is a cache hit when requested through replica B, because
-// both forward to the single owning replica instead of each computing and
-// caching independently.
+// TestFleetCrossReplicaCacheHit plans one key through replica A and then
+// twice through replica B: B solves it itself (a cold answer with A's
+// plan), serves the repeat from its own cache, and no replica reads
+// another's cache, so exactly A and B hold the entry.
 func TestFleetCrossReplicaCacheHit(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
 	req := planRequest{Job: testJob(), Econ: testEcon()}
-	owner := fleetOwner(t, servers, listeners, req)
 
-	// Route the two requests through two replicas that are not required to
-	// be the owner (with 3 replicas at least one of A, B is a forwarder).
-	respA := postJSON(t, listeners[0].URL+"/v1/plan", req)
-	if respA.StatusCode != http.StatusOK {
-		t.Fatalf("plan via A: status = %d, want 200", respA.StatusCode)
+	plan := func(i int) planResponse {
+		t.Helper()
+		resp := postJSON(t, listeners[i].URL+"/v1/plan", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan via replica %d: status = %d, want 200", i, resp.StatusCode)
+		}
+		return decodeBody[planResponse](t, resp)
 	}
-	if got := respA.Header.Get(ServedByHeader); got != listeners[owner].URL {
-		t.Errorf("plan via A served by %q, want owner %q", got, listeners[owner].URL)
-	}
-	first := decodeBody[planResponse](t, respA)
+	first := plan(0)
 	if first.Cached {
-		t.Error("first fleet request should not be cached")
+		t.Error("first request via A should not be cached")
 	}
-
-	respB := postJSON(t, listeners[1].URL+"/v1/plan", req)
-	if respB.StatusCode != http.StatusOK {
-		t.Fatalf("plan via B: status = %d, want 200", respB.StatusCode)
-	}
-	if got := respB.Header.Get(ServedByHeader); got != listeners[owner].URL {
-		t.Errorf("plan via B served by %q, want owner %q", got, listeners[owner].URL)
-	}
-	second := decodeBody[planResponse](t, respB)
-	if !second.Cached {
-		t.Error("request via B should hit the owner's cache entry planned via A")
+	second := plan(1)
+	if second.Cached {
+		t.Error("first request via B was cached; B must solve keys it has not planned itself")
 	}
 	if second.Plan != first.Plan {
-		t.Errorf("cross-replica plan %+v differs from original %+v", second.Plan, first.Plan)
+		t.Errorf("plan via B %+v differs from plan via A %+v", second.Plan, first.Plan)
+	}
+	if repeat := plan(1); !repeat.Cached || repeat.Plan != first.Plan {
+		t.Errorf("repeat via B = %+v (cached %v), want B's cached %+v", repeat.Plan, repeat.Cached, first.Plan)
 	}
 
-	// Exactly the owner holds the entry: the fleet caches partition the
-	// keyspace instead of overlapping.
 	for i, s := range servers {
-		_, _, entries := s.CacheStats()
-		want := 0
-		if i == owner {
-			want = 1
+		_, misses, entries := s.CacheStats()
+		want := 1
+		if i == 2 {
+			want = 0
 		}
-		if entries != want {
-			t.Errorf("replica %d caches %d entries, want %d", i, entries, want)
+		if entries != want || misses != uint64(want) {
+			t.Errorf("replica %d: %d entries, %d misses; want %d of each", i, entries, misses, want)
 		}
 	}
 }
 
-// TestFleetConcurrentMixedTraffic hammers every replica with a mix of
-// owned and forwarded keys under -race: concurrent forwarded and local
-// plans must not data-race, and every request must succeed.
+// TestFleetAdmitForwarded checks that admission control is never handed to
+// another replica: in per-replica budget mode each admit is decided and
+// debited by the replica it reached, whose own cache serves its repeat.
+func TestFleetAdmitForwarded(t *testing.T) {
+	const budget = 1e9
+	servers, listeners := newRingFleet(t, 3, func(int) Config {
+		return Config{Tenants: testRegistry(t, "etl", budget)}
+	})
+	areq := admitRequest{Tenant: "etl", Job: testJob()}
+
+	admit := func(i int) admitResponse {
+		t.Helper()
+		resp := postJSON(t, listeners[i].URL+"/v1/admit", areq)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("admit via replica %d: status = %d, want 200", i, resp.StatusCode)
+		}
+		dec := decodeBody[admitResponse](t, resp)
+		if !dec.Admitted {
+			t.Fatalf("admit via replica %d rejected: %+v", i, dec)
+		}
+		return dec
+	}
+
+	for via := range servers {
+		spent := admit(via).Plan.MachineTime
+		for i, s := range servers {
+			want := budget
+			if i <= via {
+				want -= spent
+			}
+			if got := s.Tenants().Get("etl").Remaining(); got != want {
+				t.Fatalf("after an admit via replica %d: replica %d has %g remaining, want %g", via, i, got, want)
+			}
+		}
+	}
+
+	admit(0)
+	if hits, _, _ := servers[0].CacheStats(); hits != 1 {
+		t.Errorf("repeated admit via replica 0: %d cache hits there, want 1", hits)
+	}
+	for i, s := range servers[1:] {
+		if hits, _, _ := s.CacheStats(); hits != 0 {
+			t.Errorf("replica %d: %d cache hits, want 0", i+1, hits)
+		}
+	}
+}
+
+// TestFleetPinnedStrategyRoutesConsistently pins a strategy and requests
+// the same key through every replica: each replica plans it itself and all
+// of them return the same pinned-strategy plan, the in-process mirror of
+// the scripts/ring-demo.sh smoke.
+func TestFleetPinnedStrategyRoutesConsistently(t *testing.T) {
+	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
+	req := planRequest{Job: testJob(), Econ: testEcon(), Strategy: "clone"}
+	var first planResponse
+	for i, ts := range listeners {
+		resp := postJSON(t, ts.URL+"/v1/plan", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("replica %d: status = %d, want 200", i, resp.StatusCode)
+		}
+		got := decodeBody[planResponse](t, resp)
+		if got.Plan.Strategy != chronos.Clone {
+			t.Errorf("replica %d planned %v, want the pinned Clone", i, got.Plan.Strategy)
+		}
+		if i == 0 {
+			first = got
+		} else if got.Plan != first.Plan {
+			t.Errorf("replica %d plan %+v differs from replica 0's %+v", i, got.Plan, first.Plan)
+		}
+		if _, misses, _ := servers[i].CacheStats(); misses != 1 {
+			t.Errorf("replica %d solved the key %d times, want 1", i, misses)
+		}
+	}
+}
+
+// TestFleetConcurrentMixedTraffic hammers every replica of a fleet with a
+// spread of plan keys under -race: concurrent plans on every replica must
+// not data-race, and every request must succeed.
 func TestFleetConcurrentMixedTraffic(t *testing.T) {
 	_, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
 	const workers = 6
@@ -167,7 +213,7 @@ func TestFleetConcurrentMixedTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				job := testJob()
-				job.Deadline = 100 + float64((w*perWorker+i)%17) // spread keys over owners
+				job.Deadline = 100 + float64((w*perWorker+i)%17) // spread plan keys
 				req := planRequest{Job: job, Econ: testEcon()}
 				resp := postJSON(t, listeners[(w+i)%3].URL+"/v1/plan", req)
 				if resp.StatusCode != http.StatusOK {
@@ -185,202 +231,177 @@ func TestFleetConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestFleetOwnerDownLocalFallback kills the owning replica: requests routed
-// through the survivors must still succeed via local computation, and the
-// failure must be visible as chronosd_ring_peer_errors_total.
-func TestFleetOwnerDownLocalFallback(t *testing.T) {
-	servers, listeners := newRingFleet(t, 3, func(int) Config {
-		return Config{BreakerThreshold: 100} // keep the circuit closed; every request attempts the forward
-	})
-	req := planRequest{Job: testJob(), Econ: testEcon()}
-	owner := fleetOwner(t, servers, listeners, req)
-	via := (owner + 1) % 3
-	listeners[owner].Close()
+// fleetTenants is the tenant set of the escrow fleet tests: enough names
+// that, for any member, some tenant's pool is owned by it.
+const fleetTenants = 32
 
-	resp := postJSON(t, listeners[via].URL+"/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fallback plan: status = %d, want 200", resp.StatusCode)
+// multiTenantRegistry builds fleetTenants identical fixed-budget pools
+// named t00..t31, with the testEcon economics as pool defaults.
+func multiTenantRegistry(t *testing.T, budget float64) *tenant.Registry {
+	t.Helper()
+	limits := make(map[string]tenant.Limits, fleetTenants)
+	for i := 0; i < fleetTenants; i++ {
+		limits[fmt.Sprintf("t%02d", i)] = tenant.Limits{
+			Budget: budget, Theta: testEcon().Theta, UnitPrice: testEcon().UnitPrice,
+		}
 	}
-	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
-		t.Errorf("fallback served by %q, want local replica %q", got, listeners[via].URL)
+	reg, err := tenant.NewRegistry(limits)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := decodeBody[planResponse](t, resp)
-	if out.Cached {
-		t.Error("fallback plan cannot be a cache hit")
-	}
-
-	text := getMetricsText(t, listeners[via].URL)
-	errLine := "chronosd_ring_peer_errors_total{peer=\"" + listeners[owner].URL + "\"}"
-	if got := metricValue(text, errLine); got != "1" {
-		t.Errorf("%s = %q, want 1", errLine, got)
-	}
-	if got := metricValue(text, "chronosd_ring_local_fallbacks_total"); got != "1" {
-		t.Errorf("chronosd_ring_local_fallbacks_total = %q, want 1", got)
-	}
+	return reg
 }
 
-// TestFleetBreakerSkipsDeadOwner verifies per-peer circuit breaking: after
-// the threshold of consecutive failures the replica stops attempting
-// forwards to the dead owner (no new peer errors) but keeps serving
-// locally.
-func TestFleetBreakerSkipsDeadOwner(t *testing.T) {
-	servers, listeners := newRingFleet(t, 3, func(int) Config {
-		return Config{BreakerThreshold: 1, BreakerCooldown: time.Hour}
-	})
-	req := planRequest{Job: testJob(), Econ: testEcon()}
-	owner := fleetOwner(t, servers, listeners, req)
-	via := (owner + 1) % 3
-	listeners[owner].Close()
-
-	for i := 0; i < 3; i++ {
-		resp := postJSON(t, listeners[via].URL+"/v1/plan", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status = %d, want 200", i, resp.StatusCode)
+// tenantOwnedBy returns a tenant of multiTenantRegistry whose escrow pool
+// owner on s's ring view is the member owner.
+func tenantOwnedBy(t *testing.T, s *Server, owner string) string {
+	t.Helper()
+	rs := s.ringSt.Load()
+	for i := 0; i < fleetTenants; i++ {
+		name := fmt.Sprintf("t%02d", i)
+		if o, ok := rs.ring.Owner(tenantKeyPrefix + name); ok && o == owner {
+			return name
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
+	}
+	t.Fatalf("no tenant of %d is owned by %q", fleetTenants, owner)
+	return ""
+}
+
+// admitVia posts one /v1/admit for testJob/testEcon and decodes the
+// decision, failing the test on any non-200.
+func admitVia(t *testing.T, url, tenantName string) admitResponse {
+	t.Helper()
+	resp := postJSON(t, url+"/v1/admit", admitRequest{Tenant: tenantName, Job: testJob(), Econ: testEcon()})
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		t.Fatalf("admit via %s: status %d: %s", url, resp.StatusCode, body)
 	}
-
-	text := getMetricsText(t, listeners[via].URL)
-	errLine := "chronosd_ring_peer_errors_total{peer=\"" + listeners[owner].URL + "\"}"
-	if got := metricValue(text, errLine); got != "1" {
-		t.Errorf("%s = %q, want 1 (breaker must stop attempts after the first failure)", errLine, got)
-	}
-	if got := metricValue(text, "chronosd_ring_local_fallbacks_total"); got != "3" {
-		t.Errorf("chronosd_ring_local_fallbacks_total = %q, want 3", got)
-	}
+	return decodeBody[admitResponse](t, resp)
 }
 
-// TestForwardLoopGuard sends a request carrying the forwarded marker
-// straight to a replica that does NOT own its key: the replica must answer
-// locally instead of forwarding again.
-func TestForwardLoopGuard(t *testing.T) {
-	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon()}
-	owner := fleetOwner(t, servers, listeners, req)
-	via := (owner + 1) % 3
-
-	raw := `{"job":{"tasks":10,"deadline":100,"tmin":10,"beta":1.5,"tauEst":30,"tauKill":60},` +
-		`"econ":{"theta":1e-4,"unitPrice":1}}`
-	hreq, err := http.NewRequest(http.MethodPost, listeners[via].URL+"/v1/plan", strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ForwardedFromHeader, "http://elsewhere:1")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
-		t.Errorf("guarded request served by %q, want local replica %q", got, listeners[via].URL)
-	}
-	out := decodeBody[planResponse](t, resp)
-	if out.Cached {
-		t.Error("guarded request computed locally cannot be a cache hit")
-	}
-	// The non-owner computed and cached locally; the owner never saw it.
-	if _, _, entries := servers[owner].CacheStats(); entries != 0 {
-		t.Errorf("owner cached %d entries for a request it never received", entries)
-	}
-	text := getMetricsText(t, listeners[via].URL)
-	if got := metricValue(text, "chronosd_ring_received_forwards_total"); got != "1" {
-		t.Errorf("chronosd_ring_received_forwards_total = %q, want 1", got)
-	}
-	if got := metricValue(text, "chronosd_ring_forwarded_total{"); got != "" {
-		t.Errorf("guarded request must not be forwarded again, got forwarded counter %q", got)
-	}
-}
-
-// TestFleetAdmitForwarded routes admission control through the ring: the
-// decision (and the ledger debit) lands on the owning replica, whose cache
-// then serves the repeated admit.
-func TestFleetAdmitForwarded(t *testing.T) {
-	servers, listeners := newRingFleet(t, 3, func(int) Config {
-		return Config{Tenants: testRegistry(t, "etl", 1e9)}
+// TestFleetOwnerDownLocalFallback kills a tenant's pool owner: the holder
+// replica keeps planning every request it receives, keeps admitting from
+// the escrow its lease already holds, and once that runs out rejects with
+// budget_exhausted instead of failing the request or spending escrow the
+// dead owner never granted.
+func TestFleetOwnerDownLocalFallback(t *testing.T) {
+	mt := bestPlanMachineTime(t)
+	budget := 25 * mt // lease target 2.5 plans at the default 0.1 fraction
+	servers, listeners := newRingFleet(t, 2, func(int) Config {
+		return Config{Tenants: multiTenantRegistry(t, budget), Escrow: true, EscrowLeaseTTL: time.Hour}
 	})
-	areq := admitRequest{Tenant: "etl", Job: testJob()}
-
-	resp := postJSON(t, listeners[0].URL+"/v1/admit", areq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("admit: status = %d, want 200", resp.StatusCode)
-	}
-	servedBy := resp.Header.Get(ServedByHeader)
-	dec := decodeBody[admitResponse](t, resp)
-	if !dec.Admitted {
-		t.Fatalf("admit rejected: %+v", dec)
-	}
-
-	// The serving replica — and only it — debited its ledger and cached the
-	// unconstrained optimum.
-	debited := 0
-	for i, s := range servers {
-		rem := s.Tenants().Get("etl").Remaining()
-		if rem < 1e9 {
-			debited++
-			if listeners[i].URL != servedBy {
-				t.Errorf("replica %d debited but %q served", i, servedBy)
-			}
-		}
-	}
-	if debited != 1 {
-		t.Errorf("%d replicas debited the admit, want exactly 1", debited)
-	}
-
-	// A second admit through another replica reuses the owner's cached plan:
-	// its cache stats show a hit.
-	resp2 := postJSON(t, listeners[1].URL+"/v1/admit", areq)
-	dec2 := decodeBody[admitResponse](t, resp2)
-	if !dec2.Admitted {
-		t.Fatalf("second admit rejected: %+v", dec2)
-	}
-	hitSomewhere := false
 	for _, s := range servers {
-		if hits, _, _ := s.CacheStats(); hits > 0 {
-			hitSomewhere = true
+		t.Cleanup(s.Close)
+	}
+	owner, holder := 0, 1
+	name := tenantOwnedBy(t, servers[holder], listeners[owner].URL)
+
+	if dec := admitVia(t, listeners[holder].URL, name); !dec.Admitted {
+		t.Fatalf("admit with a live owner rejected: %+v", dec)
+	}
+	leased := servers[holder].escrow.lease(name).Level()
+	listeners[owner].Close()
+
+	spent := 0.0
+	rejected := false
+	for i := 0; i < 10 && !rejected; i++ {
+		dec := admitVia(t, listeners[holder].URL, name)
+		switch {
+		case dec.Admitted:
+			spent += dec.Plan.MachineTime
+		case dec.Reason == ReasonBudgetExhausted:
+			rejected = true
+		default:
+			t.Fatalf("admit %d with a dead owner: %+v", i, dec)
 		}
 	}
-	if !hitSomewhere {
-		t.Error("repeated admit did not hit any plan cache")
+	if !rejected {
+		t.Fatal("holder kept admitting past its lease with the owner down")
 	}
+	if spent > leased*(1+1e-9) {
+		t.Errorf("holder spent %g with the owner down, but its lease held only %g", spent, leased)
+	}
+
+	resp := postJSON(t, listeners[holder].URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan with a dead owner: status = %d, want 200", resp.StatusCode)
+	}
+	resp.Body.Close()
 }
 
 // TestFleetTenantDriftFallsBackLocally models a rolling tenant-config
-// rollout: the owner does not know the tenant yet (404), so the replica
-// that already resolved it serves — and debits — locally instead of
-// relaying the owner's 404.
+// rollout: the pool owner does not know the tenant yet and answers the
+// holder's lease call 404. The holder answers its admits itself — rejected
+// from its empty lease, never over-committing a pool it cannot reach — and
+// the healthy owner's breaker is not charged for the drift.
 func TestFleetTenantDriftFallsBackLocally(t *testing.T) {
-	servers, listeners := newRingFleet(t, 3, func(i int) Config {
-		return Config{Tenants: testRegistry(t, "etl", 1e9)}
+	servers, listeners := newRingFleet(t, 2, func(int) Config {
+		return Config{
+			Tenants: multiTenantRegistry(t, 1e9), Escrow: true, EscrowLeaseTTL: time.Hour,
+			BreakerThreshold: 1,
+		}
 	})
-	req := planRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
-	owner := fleetOwner(t, servers, listeners, req)
-	via := (owner + 1) % 3
-	// The owner's registry loses the tenant (drifted config).
+	for _, s := range servers {
+		t.Cleanup(s.Close)
+	}
+	owner, holder := 0, 1
+	name := tenantOwnedBy(t, servers[holder], listeners[owner].URL)
+	// The owner's registry loses every tenant (drifted config).
 	servers[owner].SetTenants(testRegistry(t, "other", 1))
 
-	resp := postJSON(t, listeners[via].URL+"/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drift fallback: status = %d, want 200", resp.StatusCode)
+	for i := 0; i < 2; i++ {
+		if dec := admitVia(t, listeners[holder].URL, name); dec.Admitted || dec.Reason != ReasonBudgetExhausted {
+			t.Fatalf("admit %d during drift: %+v, want budget_exhausted", i, dec)
+		}
 	}
-	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
-		t.Errorf("drift fallback served by %q, want local replica %q", got, listeners[via].URL)
+	peer := servers[holder].ringSt.Load().peers[listeners[owner].URL]
+	if got := peer.breaker.failures.Load(); got != 0 || !peer.breaker.allow() {
+		t.Errorf("drift charged the owner's breaker: %d failures, open = %v", got, !peer.breaker.allow())
 	}
-	out := decodeBody[planResponse](t, resp)
-	if out.BudgetRemaining == nil || *out.BudgetRemaining >= 1e9 {
-		t.Errorf("local fallback did not debit the local ledger: %+v", out)
+}
+
+// leaseCounter fronts h with a fault injector for the escrow lease API: it
+// counts lease calls and, while healthy is false, answers them 500.
+func leaseCounter(h http.Handler, hits *atomic.Int32, healthy *atomic.Bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == escrowPath {
+			hits.Add(1)
+			if !healthy.Load() {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetBreakerSkipsDeadOwner verifies per-peer circuit breaking on the
+// lease path: after the threshold of consecutive failures the holder stops
+// calling the failing pool owner at all, and its admits answer
+// budget_exhausted from the empty lease.
+func TestFleetBreakerSkipsDeadOwner(t *testing.T) {
+	var hits atomic.Int32
+	var healthy atomic.Bool
+	dead := httptest.NewServer(leaseCounter(http.NotFoundHandler(), &hits, &healthy))
+	t.Cleanup(dead.Close)
+
+	s, ts := newTestServer(t, Config{
+		Tenants: multiTenantRegistry(t, 1e9), Escrow: true, EscrowLeaseTTL: time.Hour,
+		BreakerThreshold: 1, BreakerCooldown: time.Hour,
+	})
+	t.Cleanup(s.Close)
+	if err := s.SetRing(ring.Membership{Self: ts.URL, Peers: []string{dead.URL}}); err != nil {
+		t.Fatal(err)
 	}
-	text := getMetricsText(t, listeners[via].URL)
-	if got := metricValue(text, "chronosd_ring_local_fallbacks_total"); got != "1" {
-		t.Errorf("chronosd_ring_local_fallbacks_total = %q, want 1", got)
+	name := tenantOwnedBy(t, s, dead.URL)
+	for i := 0; i < 3; i++ {
+		if dec := admitVia(t, ts.URL, name); dec.Admitted || dec.Reason != ReasonBudgetExhausted {
+			t.Fatalf("admit %d against a dead owner: %+v, want budget_exhausted", i, dec)
+		}
 	}
-	// The owner is healthy — the drift must not charge its breaker.
-	errLine := "chronosd_ring_peer_errors_total{peer=\"" + listeners[owner].URL + "\"}"
-	if got := metricValue(text, errLine); got != "" {
-		t.Errorf("%s = %q, want absent", errLine, got)
+	if got := hits.Load(); got != 1 {
+		t.Errorf("owner saw %d lease calls, want 1 (the breaker must stop calls after the first failure)", got)
 	}
 }
 
@@ -404,8 +425,8 @@ func TestSetRingLifecycle(t *testing.T) {
 		t.Fatalf("RingMembers = %q %v", self, members)
 	}
 
-	// Requests keep working against a one-sided membership (the other
-	// member may own keys; it is unreachable, so they fall back locally).
+	// Plans never depend on membership: an unreachable member changes
+	// nothing about how this replica answers.
 	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan with unreachable peer: status = %d", resp.StatusCode)
@@ -420,8 +441,8 @@ func TestSetRingLifecycle(t *testing.T) {
 		t.Fatalf("disabled ring still reports %q %v", self, members)
 	}
 	resp = postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
-	if got := resp.Header.Get(ServedByHeader); got != "" {
-		t.Errorf("ringless response carries %s=%q", ServedByHeader, got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan after disabling the ring: status = %d", resp.StatusCode)
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -454,43 +475,6 @@ func TestRingMetricsGauges(t *testing.T) {
 	if err != nil || f <= 0.05 || f >= 0.95 {
 		t.Errorf("chronosd_ring_owned_fraction = %q, want a proper share of a 3-replica ring", frac)
 	}
-}
-
-// TestFleetPinnedStrategyRoutesConsistently pins a strategy and requests
-// the same key through every replica: all three answers must come from one
-// owning replica, the in-process mirror of the scripts/ring-demo.sh smoke.
-func TestFleetPinnedStrategyRoutesConsistently(t *testing.T) {
-	_, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon(), Strategy: "clone"}
-	served := make(map[string]bool)
-	for _, ts := range listeners {
-		resp := postJSON(t, ts.URL+"/v1/plan", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
-		}
-		served[resp.Header.Get(ServedByHeader)] = true
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if len(served) != 1 {
-		t.Errorf("pinned-strategy key served by %d replicas, want exactly 1: %v", len(served), served)
-	}
-}
-
-// reqOwnedBy scans deadlines until it finds a plan request whose cache key
-// is owned by the given member on s's current ring view.
-func reqOwnedBy(t *testing.T, s *Server, owner string) planRequest {
-	t.Helper()
-	rs := s.ringSt.Load()
-	for d := 0; d < 4096; d++ {
-		job := testJob()
-		job.Deadline = 100 + float64(d)
-		if o, ok := rs.ring.Owner(planKey("", job, testEcon())); ok && o == owner {
-			return planRequest{Job: job, Econ: testEcon()}
-		}
-	}
-	t.Fatalf("no key owned by %q in 4096 candidates", owner)
-	return planRequest{}
 }
 
 // --- breaker state machine ------------------------------------------------
@@ -597,68 +581,66 @@ func TestBreakerAbortReleasesProbeSlot(t *testing.T) {
 }
 
 // TestFleetHalfOpenProbesOncePerCooldown is the end-to-end half-open
-// acceptance test: once a peer's circuit opens, each cooldown window admits
-// exactly ONE forward attempt — the pre-fix breaker reset its counter on
-// expiry and let a full threshold of requests hammer the dead peer per
-// window.
+// acceptance test on the escrow lease path: once a pool owner's circuit
+// opens, each cooldown window admits exactly ONE lease call — a breaker
+// that reset its counter on expiry would let a full threshold of calls
+// hammer the dead owner per window.
 func TestFleetHalfOpenProbesOncePerCooldown(t *testing.T) {
 	const cooldown = 400 * time.Millisecond
+	reg := func() *tenant.Registry { return multiTenantRegistry(t, 1e9) }
 
-	// The peer is a real replica behind a fault injector: while unhealthy,
-	// /v1/plan answers 500; the rest (e.g. /healthz) passes through.
-	peerSrv := New(Config{})
-	peerHandler := peerSrv.Handler()
-	var planHits atomic.Int32
+	// The owner is a real escrow replica behind a fault injector: while
+	// unhealthy, /v1/escrow/lease answers 500.
+	ownerSrv := New(Config{Tenants: reg(), Escrow: true, EscrowLeaseTTL: time.Hour})
+	t.Cleanup(ownerSrv.Close)
+	var hits atomic.Int32
 	var healthy atomic.Bool
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/plan" {
-			planHits.Add(1)
-			if !healthy.Load() {
-				w.WriteHeader(http.StatusInternalServerError)
-				return
-			}
-		}
-		peerHandler.ServeHTTP(w, r)
-	}))
+	flaky := httptest.NewServer(leaseCounter(ownerSrv.Handler(), &hits, &healthy))
 	t.Cleanup(flaky.Close)
 
-	s, ts := newTestServer(t, Config{BreakerThreshold: 3, BreakerCooldown: cooldown})
+	s, ts := newTestServer(t, Config{
+		Tenants: reg(), Escrow: true, EscrowLeaseTTL: time.Hour,
+		BreakerThreshold: 3, BreakerCooldown: cooldown,
+	})
+	t.Cleanup(s.Close)
 	if err := s.SetRing(ring.Membership{Self: ts.URL, Peers: []string{flaky.URL}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := peerSrv.SetRing(ring.Membership{Self: flaky.URL, Peers: []string{ts.URL}}); err != nil {
+	if err := ownerSrv.SetRing(ring.Membership{Self: flaky.URL, Peers: []string{ts.URL}}); err != nil {
 		t.Fatal(err)
 	}
-	req := reqOwnedBy(t, s, flaky.URL)
-	post := func() error {
-		resp, err := postJSONErr(ts.URL+"/v1/plan", req)
+	name := tenantOwnedBy(t, s, flaky.URL)
+	admit := func() error {
+		resp, err := postJSONErr(ts.URL+"/v1/admit", admitRequest{Tenant: name, Job: testJob(), Econ: testEcon()})
 		if err != nil {
 			return err
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("admit: status %d", resp.StatusCode)
+		}
 		return nil
 	}
 
-	// Phase 1: threshold consecutive peer failures trip the circuit; every
-	// request still answers 200 via local fallback.
+	// Phase 1: threshold consecutive owner failures trip the circuit; every
+	// admit still answers 200 (rejected from the empty lease).
 	for i := 0; i < 3; i++ {
-		if err := post(); err != nil {
+		if err := admit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := planHits.Load(); got != 3 {
-		t.Fatalf("peer saw %d plan forwards before the trip, want 3", got)
+	if got := hits.Load(); got != 3 {
+		t.Fatalf("owner saw %d lease calls before the trip, want 3", got)
 	}
 
-	// Phase 2: the open circuit skips the peer entirely.
+	// Phase 2: the open circuit skips the owner entirely.
 	for i := 0; i < 5; i++ {
-		if err := post(); err != nil {
+		if err := admit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := planHits.Load(); got != 3 {
-		t.Fatalf("open circuit forwarded anyway: peer saw %d requests, want 3", got)
+	if got := hits.Load(); got != 3 {
+		t.Fatalf("open circuit called the owner anyway: %d lease calls, want 3", got)
 	}
 
 	// Phase 3: after the cooldown, a concurrent burst gets exactly one
@@ -670,7 +652,7 @@ func TestFleetHalfOpenProbesOncePerCooldown(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- post()
+			errs <- admit()
 		}()
 	}
 	wg.Wait()
@@ -680,40 +662,35 @@ func TestFleetHalfOpenProbesOncePerCooldown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := planHits.Load(); got != 4 {
+	if got := hits.Load(); got != 4 {
 		t.Fatalf("half-open window admitted %d probes, want exactly 1", got-3)
 	}
-	if err := post(); err != nil {
+	if err := admit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := planHits.Load(); got != 4 {
+	if got := hits.Load(); got != 4 {
 		t.Fatal("failed probe did not re-open the circuit")
 	}
 
-	// Phase 4: the peer recovers; the next probe succeeds, closes the
-	// circuit, and traffic forwards to the owner again.
+	// Phase 4: the owner recovers; the next probe succeeds, closes the
+	// circuit, and funds the lease, which then carries the following admit
+	// without another call.
 	healthy.Store(true)
 	time.Sleep(cooldown + 50*time.Millisecond)
 	for i := 0; i < 2; i++ {
-		resp, err := postJSONErr(ts.URL+"/v1/plan", req)
-		if err != nil {
-			t.Fatal(err)
+		if dec := admitVia(t, ts.URL, name); !dec.Admitted {
+			t.Fatalf("admit %d after recovery: %+v", i, dec)
 		}
-		if got := resp.Header.Get(ServedByHeader); got != flaky.URL {
-			t.Fatalf("request %d after recovery served by %q, want owner %q", i, got, flaky.URL)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
-	if got := planHits.Load(); got != 6 {
-		t.Fatalf("peer saw %d plan requests after recovery, want 6", got)
+	if got := hits.Load(); got != 5 {
+		t.Fatalf("owner saw %d lease calls after recovery, want 5", got)
 	}
 }
 
-// TestForwardClientDisconnectDoesNotChargeBreaker: a client that gives up
-// mid-forward proves nothing about the peer, so the aborted attempt must
-// leave the peer's breaker untouched (threshold 1 would otherwise open it)
-// and must not count as a peer error.
+// TestForwardClientDisconnectDoesNotChargeBreaker: a lease call abandoned
+// because the admitting client went away proves nothing about the owner,
+// so it must leave the owner's breaker untouched (threshold 1 would
+// otherwise open it) and refund the spend it was reporting.
 func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 	peerGot := make(chan struct{})
 	hanging := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -725,24 +702,24 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 	}))
 	t.Cleanup(hanging.Close)
 
-	s, ts := newTestServer(t, Config{BreakerThreshold: 1, ForwardTimeout: 10 * time.Second})
+	s, ts := newTestServer(t, Config{
+		Tenants: multiTenantRegistry(t, 1e9), Escrow: true, EscrowLeaseTTL: time.Hour,
+		BreakerThreshold: 1, ForwardTimeout: 10 * time.Second,
+	})
+	t.Cleanup(s.Close)
 	if err := s.SetRing(ring.Membership{Self: ts.URL, Peers: []string{hanging.URL}}); err != nil {
 		t.Fatal(err)
 	}
-	req := reqOwnedBy(t, s, hanging.URL)
-	strat, best, _ := keyStrategy(req.Strategy)
-	key := planKey(cacheStrategyName(strat, best), req.Job, req.Econ)
+	name := tenantOwnedBy(t, s, hanging.URL)
+	lease := s.escrow.lease(name)
 
-	hreq := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
-	ctx, cancel := context.WithCancel(hreq.Context())
-	hreq = hreq.WithContext(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-peerGot
 		cancel()
 	}()
-
-	if done := s.forwardToOwner(httptest.NewRecorder(), hreq, "/v1/plan", []byte(key), req); !done {
-		t.Fatal("client disconnect mid-forward must consume the request, not fall back locally")
+	if _, err := s.escrow.leaseCall(ctx, hanging.URL, escrowLeaseRequest{Tenant: name, Spent: 5, Want: 100}, lease); err == nil {
+		t.Fatal("lease call abandoned mid-flight reported success")
 	}
 	peer := s.ringSt.Load().peers[hanging.URL]
 	if peer == nil {
@@ -752,11 +729,9 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 		t.Fatalf("disconnect charged the breaker with %d failures, want 0", got)
 	}
 	if !peer.breaker.allow() {
-		t.Fatal("disconnect opened the peer's circuit")
+		t.Fatal("disconnect opened the owner's circuit")
 	}
-	text := getMetricsText(t, ts.URL)
-	errLine := "chronosd_ring_peer_errors_total{peer=\"" + hanging.URL + "\"}"
-	if got := metricValue(text, errLine); got != "" {
-		t.Errorf("%s = %q, want absent (the peer did nothing wrong)", errLine, got)
+	if got := lease.TakeSpent(); got != 5 {
+		t.Errorf("abandoned call left %g unreported spend on the lease, want the 5 it carried", got)
 	}
 }

@@ -18,8 +18,9 @@ import (
 
 // Server is one chronosd instance: HTTP handlers over the chronos planning
 // core, a sharded plan cache, a bounded optimization worker pool, a
-// hot-swappable tenant registry, consistent-hash plan-key sharding across a
-// replica fleet, and Prometheus-style metrics.
+// hot-swappable tenant registry, fleet membership for escrow tenant pools,
+// and Prometheus-style metrics. Every replica plans and debits each request
+// it receives; the fleet shares only escrow leases.
 type Server struct {
 	cfg     Config
 	cache   *planCache
@@ -27,11 +28,12 @@ type Server struct {
 	metrics *serverMetrics
 	mux     *http.ServeMux
 	tenants atomic.Pointer[tenant.Registry]
-	// ringSt is the current fleet-membership view; nil disables sharding.
-	// Swapped atomically by SetRing (SIGHUP reload path).
+	// ringSt is the current fleet-membership view; nil on a solo replica.
+	// Swapped atomically by SetRing (SIGHUP reload path) and the heartbeat
+	// monitor.
 	ringSt atomic.Pointer[ringState]
-	// forwardClient issues cross-replica forwards; its timeout bounds how
-	// long a request waits on a peer before local fallback.
+	// forwardClient issues escrow lease calls to tenant pool owners; its
+	// timeout bounds how long an admit waits on a top-up.
 	forwardClient *http.Client
 	// replaySem bounds concurrently running /v1/replay streams; each
 	// running replay holds one slot.
@@ -55,11 +57,6 @@ type Server struct {
 	// (nil when cfg.HeartbeatInterval is 0).
 	healthStop chan struct{}
 	healthDone chan struct{}
-	// replic is the hot-key replication inbox (replicate.go); nil when
-	// cfg.Replication <= 1. replicStop/replicDone bracket its goroutine.
-	replic     *replicator
-	replicStop chan struct{}
-	replicDone chan struct{}
 	// solveHook, when set (tests), runs in the singleflight leader just
 	// before the solve — the hook point for counting and gating real solves.
 	solveHook func(key string)
@@ -81,7 +78,7 @@ func (s *Server) logOp() *slog.Logger {
 
 // New builds a server from cfg (zero fields take defaults). Invalid ring
 // membership in cfg (peers without a self URL) panics: it is a startup
-// misconfiguration that would otherwise silently disable sharding —
+// misconfiguration that would otherwise silently make the replica solo —
 // cmd/chronosd validates flags first, so operators see a flag error, not
 // this panic.
 func New(cfg Config) *Server {
@@ -121,13 +118,6 @@ func New(cfg Config) *Server {
 		s.escrow = newEscrowManager(s, led)
 		go s.escrow.run()
 	}
-	s.loadCache()
-	if cfg.Replication > 1 {
-		s.replic = &replicator{ch: make(chan savedPlan, 4*replicaPushBatch)}
-		s.replicStop = make(chan struct{})
-		s.replicDone = make(chan struct{})
-		go s.runReplicator()
-	}
 	if cfg.HeartbeatInterval > 0 {
 		s.healthStop = make(chan struct{})
 		s.healthDone = make(chan struct{})
@@ -142,8 +132,6 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/simulate", "/v1/simulate", s.handleSimulate)
 	s.route("POST /v1/replay", "/v1/replay", s.handleReplay)
 	s.route("POST "+escrowPath, escrowPath, s.handleEscrowLease)
-	s.route("GET /v1/cache/owned", "/v1/cache/owned", s.handleCacheOwned)
-	s.route("POST /v1/cache/push", "/v1/cache/push", s.handleCachePush)
 	s.route("GET /healthz", "/healthz", s.handleHealthz)
 	s.route("GET /metrics", "/metrics", s.handleMetrics)
 	// The slow-trace buffer is also reachable on the serving listener (it is
@@ -181,25 +169,19 @@ func (s *Server) SetTenants(reg *tenant.Registry) {
 	s.FlushCache()
 }
 
-// Close stops the heartbeat monitor and replication fan-out, releases this
-// replica's escrow leases back to their owners, compacts the ledger into a
-// final snapshot, and dumps the hot plan cache under the data dir for the
-// next boot's warm start. Safe to call more than once; a server without
-// those subsystems closes as a no-op.
+// Close stops the heartbeat monitor, releases this replica's escrow leases
+// back to their owners, and compacts the ledger into a final snapshot. Safe
+// to call more than once; a server without those subsystems closes as a
+// no-op.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.healthStop != nil {
 			close(s.healthStop)
 			<-s.healthDone
 		}
-		if s.replicStop != nil {
-			close(s.replicStop)
-			<-s.replicDone
-		}
 		if s.escrow != nil {
 			s.escrow.shutdown()
 		}
-		s.saveCache()
 	})
 }
 
@@ -226,12 +208,7 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 		h(rec, r.WithContext(obs.NewContext(r.Context(), tr)))
 		elapsed := time.Since(start)
 		em.observe(rec.code, elapsed.Seconds())
-		// ServedByHeader is stamped by the sharded path (self or, after a
-		// successful proxy, the owning replica); reading it back here keeps
-		// the snapshot consistent with what the client saw.
-		snap := tr.Finish(rec.code, elapsed,
-			rec.Header().Get(ServedByHeader),
-			r.Header.Get(ForwardedFromHeader) != "")
+		snap := tr.Finish(rec.code, elapsed)
 		s.metrics.observeStages(snap)
 		s.traces.Add(snap)
 		s.reqLog.Request(snap)

@@ -120,6 +120,29 @@ func TestPlanPinnedStrategy(t *testing.T) {
 	}
 }
 
+// TestPlanDegenerateRestartWindowAnswers: a restart window of tmin plus one
+// ulp once sent the planner into an unbounded scan with unbounded memory,
+// so a single /v1/plan could take a replica down. Both the pinned S-Restart
+// plan and the best-of-three plan must come back, the former at R = 1.
+func TestPlanDegenerateRestartWindowAnswers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	job := chronos.JobParams{
+		Tasks: 157, Deadline: 15.8, TMin: 11.44, Beta: 1.539,
+		TauEst: 4.36, TauKill: 7.33,
+	}
+	econ := chronos.Econ{Theta: 7.72e-6, UnitPrice: 1}
+	for _, strategy := range []string{"s-restart", ""} {
+		resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: job, Econ: econ, Strategy: strategy})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("strategy %q: status = %d, want 200", strategy, resp.StatusCode)
+		}
+		got := decodeBody[planResponse](t, resp)
+		if strategy != "" && (got.Plan.Strategy != chronos.SpeculativeRestart || got.Plan.R != 1) {
+			t.Errorf("S-Restart plan = %+v, want R = 1", got.Plan)
+		}
+	}
+}
+
 func TestPlanErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
 

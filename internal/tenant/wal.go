@@ -128,10 +128,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the durability directory (the serving layer derives sibling
-// files, e.g. the plan-cache dump, from it).
-func (s *Store) Dir() string { return s.dir }
-
 // State returns the ledger state recovered at open: pool levels and
 // outstanding leases with WAL replay already applied.
 func (s *Store) State() Snapshot {

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# ring-demo.sh — boots 3 chronosd replicas joined into one consistent-hash
-# ring and demonstrates the point of plan-key sharding: a plan computed via
-# replica A is a cache hit when the same job is requested via replica B,
-# because both forward the key to its single owning replica. It then sends a
-# request with a caller-chosen X-Chronosd-Trace-Id through a non-owning
-# replica and greps that ID out of BOTH replicas' structured logs — the
-# out-of-process proof that one trace ID spans a forward hop. Then it proves
-# the fleet self-manages: it SIGKILLs the plan owner, shows the very next
-# request served WARM from the key's replica copy (-replication 2), waits for
-# the survivors' health monitors to evict the dead member, restarts it, and
-# asserts re-admission plus the warm cache handoff back. Finally it exercises
-# the escrow failure path: it plants a lease at the tenant's pool owner,
-# SIGKILLs that owner mid-run, restarts it from its data dir, and asserts the
-# boot-time lease reclamation in the structured logs. Also used as the CI
-# smoke step for the ring serving path (make ring-demo).
+# ring-demo.sh — boots 3 escrow-enabled chronosd replicas in one fleet and
+# checks, out of process, what the fleet does:
+#   1. every replica plans the requests it receives itself: the same job
+#      sent through each replica is answered identically by that replica,
+#      and no plan request ever reaches a peer;
+#   2. one trace ID spans an escrow lease call: an admit with a caller-chosen
+#      X-Chronosd-Trace-Id sent to a replica that does not own the tenant's
+#      pool shows up in that replica's log (with its escrow span) and in the
+#      pool owner's log of the lease call;
+#   3. heartbeat membership: a SIGKILLed replica is evicted by both
+#      survivors, which keep serving, and is re-admitted when it restarts;
+#   4. lease reclamation: a lease planted at the tenant's pool owner is
+#      reclaimed from the WAL when that owner is SIGKILLed and restarted
+#      from its data dir.
+# Also used as the CI fleet smoke step (make ring-demo).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,16 +42,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# start_replica <port> <logfile>: one escrow-enabled ring member with a
+# start_replica <port> <logfile>: one escrow-enabled fleet member with a
 # per-port durable data dir. The short lease TTL keeps the reclamation
-# demonstration below fast; the fast heartbeat and replication factor 2 keep
-# the eviction/re-admission demonstration fast.
+# demonstration below fast; the fast heartbeat keeps the eviction and
+# re-admission demonstration fast.
 start_replica() {
   local p="$1" log="$2"
   "$BIN" -addr "127.0.0.1:$p" -self "http://127.0.0.1:$p" -peers "$PEERS" \
     -tenants "$TENANTS" -escrow -data-dir "$DATA_DIR/$p" \
     -escrow-lease-ttl 2s \
-    -heartbeat-interval 500ms -suspect-after 3 -replication 2 2>"$log" &
+    -heartbeat-interval 500ms -suspect-after 3 2>"$log" &
   PID_OF[$p]=$!
 }
 
@@ -76,144 +76,123 @@ for p in "${PORTS[@]}"; do
 done
 
 BODY='{"job":{"tasks":100,"deadline":3600,"tmin":40,"beta":1.6,"tauEst":300,"tauKill":600},"econ":{"theta":0.0001,"unitPrice":1}}'
-A="http://127.0.0.1:${PORTS[0]}"
-B="http://127.0.0.1:${PORTS[1]}"
 
-echo "== plan via replica A ($A) =="
-HDRS_A="$(mktemp)"
-R1="$(curl -sf -D "$HDRS_A" -X POST -H 'Content-Type: application/json' -d "$BODY" "$A/v1/plan")"
-echo "$R1"
-OWNER="$(awk -F': ' 'tolower($1)=="x-chronosd-served-by" {gsub(/\r/,"",$2); print $2}' "$HDRS_A")"
-echo "   served by: $OWNER"
-grep -q '"cached":false' <<<"$R1" \
-  || { echo "FAIL: first plan should not be cached"; exit 1; }
+# plan_count <port>: the replica's count of answered /v1/plan requests.
+plan_count() {
+  curl -sf "http://127.0.0.1:$1/metrics" \
+    | awk '$1 == "chronosd_requests_total{endpoint=\"/v1/plan\",code=\"200\"}" {print $2}'
+}
 
-echo "== same job via replica B ($B) =="
-HDRS_B="$(mktemp)"
-R2="$(curl -sf -D "$HDRS_B" -X POST -H 'Content-Type: application/json' -d "$BODY" "$B/v1/plan")"
-echo "$R2"
-OWNER2="$(awk -F': ' 'tolower($1)=="x-chronosd-served-by" {gsub(/\r/,"",$2); print $2}' "$HDRS_B")"
-echo "   served by: $OWNER2"
-grep -q '"cached":true' <<<"$R2" \
-  || { echo "FAIL: plan via B should hit the cache entry planned via A"; exit 1; }
-[ "$OWNER" = "$OWNER2" ] \
-  || { echo "FAIL: the two requests were served by different owners ($OWNER vs $OWNER2)"; exit 1; }
-rm -f "$HDRS_A" "$HDRS_B"
+# wait_log <file> <pattern>: wait up to 10s for a structured log line.
+wait_log() {
+  for _ in $(seq 1 50); do
+    grep -q "$2" "$1" 2>/dev/null && return 0
+    sleep 0.2
+  done
+  echo "FAIL: $(basename "$1") never logged '$2'"
+  exit 1
+}
 
-echo "== ring metrics on replica A =="
-curl -sf "$A/metrics" | grep '^chronosd_ring_'
-
-# --- one trace ID across the forward hop -----------------------------------
-# Send a request with an explicit trace ID through a replica that does NOT
-# own the key (the owner is known from the requests above), then find that
-# ID in the logs of both the entry replica and the owner.
-ENTRY=""
+# --- 1. every replica plans locally -------------------------------------------
+echo "== the same job through every replica, twice =="
+PLAN=""
 for p in "${PORTS[@]}"; do
-  [ "http://127.0.0.1:$p" != "$OWNER" ] && { ENTRY="http://127.0.0.1:$p"; break; }
+  R1="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$BODY" "http://127.0.0.1:$p/v1/plan")"
+  R2="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$BODY" "http://127.0.0.1:$p/v1/plan")"
+  echo "   :$p $R1"
+  grep -q '"cached":false' <<<"$R1" \
+    || { echo "FAIL: first plan on :$p came from a cache (it was never asked before)"; exit 1; }
+  grep -q '"cached":true' <<<"$R2" \
+    || { echo "FAIL: repeat plan on :$p missed its own cache"; exit 1; }
+  P="$(grep -o '"plan":{[^}]*}' <<<"$R1")"
+  [ -z "$PLAN" ] && PLAN="$P"
+  [ "$P" = "$PLAN" ] \
+    || { echo "FAIL: :$p planned $P, another replica planned $PLAN"; exit 1; }
 done
-OWNER_PORT="${OWNER##*:}"
-ENTRY_PORT="${ENTRY##*:}"
-TRACE_ID="ring-demo-$$"
+for p in "${PORTS[@]}"; do
+  n="$(plan_count "$p")"
+  [ "${n:-0}" = "2" ] \
+    || { echo "FAIL: :$p answered ${n:-0} plans, want exactly the 2 sent to it"; exit 1; }
+done
+echo
+echo "OK: every replica planned its own requests, identically, with no peer hop"
 
-echo "== traced plan via non-owner $ENTRY (trace ID $TRACE_ID) =="
+# --- 2. one trace ID across an escrow lease call ------------------------------
+# The pool owner of tenant 'demo' answers a lease release for an unknown
+# holder with 200 (a no-op); every other replica answers 409 not_owner.
+PROBE='{"tenant":"demo","holder":"http://ring-demo-probe.invalid:1","release":true}'
+POOL_OWNER_PORT=""
+for p in "${PORTS[@]}"; do
+  code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    -H 'Content-Type: application/json' -d "$PROBE" \
+    "http://127.0.0.1:$p/v1/escrow/lease")"
+  [ "$code" = "200" ] && POOL_OWNER_PORT="$p"
+done
+[ -n "$POOL_OWNER_PORT" ] \
+  || { echo "FAIL: no replica owns tenant 'demo'"; exit 1; }
+HOLDER_PORT=""
+for p in "${PORTS[@]}"; do
+  [ "$p" != "$POOL_OWNER_PORT" ] && { HOLDER_PORT="$p"; break; }
+done
+TRACE_ID="ring-demo-$$"
+ADMIT='{"tenant":"demo","job":{"tasks":100,"deadline":3600,"tmin":40,"beta":1.6,"tauEst":300,"tauKill":600}}'
+
+echo
+echo "== traced admit via :$HOLDER_PORT (pool owner :$POOL_OWNER_PORT, trace ID $TRACE_ID) =="
 HDRS_T="$(mktemp)"
 curl -sf -D "$HDRS_T" -X POST -H 'Content-Type: application/json' \
-  -H "X-Chronosd-Trace-Id: $TRACE_ID" -d "$BODY" "$ENTRY/v1/plan" >/dev/null
+  -H "X-Chronosd-Trace-Id: $TRACE_ID" -d "$ADMIT" "http://127.0.0.1:$HOLDER_PORT/v1/admit" \
+  | grep -q '"admitted":true' || { echo "FAIL: traced admit rejected"; exit 1; }
 ECHOED="$(awk -F': ' 'tolower($1)=="x-chronosd-trace-id" {gsub(/\r/,"",$2); print $2}' "$HDRS_T")"
 rm -f "$HDRS_T"
 [ "$ECHOED" = "$TRACE_ID" ] \
   || { echo "FAIL: response echoed trace ID '$ECHOED', want '$TRACE_ID'"; exit 1; }
-
-for port in "$ENTRY_PORT" "$OWNER_PORT"; do
-  # Log writes are asynchronous to the HTTP response; give them a moment.
-  for _ in $(seq 1 20); do
-    grep -q "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$port.log" 2>/dev/null && break
-    sleep 0.1
-  done
-  grep -q "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$port.log" \
-    || { echo "FAIL: trace $TRACE_ID missing from replica :$port's request log"; exit 1; }
+for port in "$HOLDER_PORT" "$POOL_OWNER_PORT"; do
+  wait_log "$LOG_DIR/$port.log" "\"traceId\":\"$TRACE_ID\""
   echo "   replica :$port logged the trace:"
   grep "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$port.log" | head -1 | sed 's/^/     /'
 done
-grep "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$ENTRY_PORT.log" | grep -q '"forward"' \
-  || { echo "FAIL: entry replica's log line has no forward span"; exit 1; }
-
+grep "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$HOLDER_PORT.log" | grep -q '"escrow"' \
+  || { echo "FAIL: the holder's log line has no escrow span"; exit 1; }
+grep "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$POOL_OWNER_PORT.log" | grep -q '"route":"/v1/escrow/lease"' \
+  || { echo "FAIL: the pool owner did not log the traced lease call"; exit 1; }
 echo
-echo "OK: cross-replica cache hit — planned via A, hit via B, owned by $OWNER"
-echo "OK: trace $TRACE_ID spans the forward hop ($ENTRY -> $OWNER)"
+echo "OK: trace $TRACE_ID spans the escrow lease call (:$HOLDER_PORT -> :$POOL_OWNER_PORT)"
 
-# --- health-driven membership: kill the owner, read from its replica -------
-# With -replication 2 the owner pushed the hot plan to the key's first ring
-# successor as it solved it. SIGKILL the owner: the next request through a
-# survivor must be served WARM from that replica copy (cached:true — no cold
-# re-solve), the survivors' heartbeat monitors must evict the dead member
-# within the suspect window, and a restart must be re-admitted and receive
-# the remapped hot entries back via the warm handoff.
-echo
-echo "== SIGKILL the plan owner (:$OWNER_PORT) =="
-kill -9 "${PID_OF[$OWNER_PORT]}"
-unset "PID_OF[$OWNER_PORT]"
-
-WARM=""
-for _ in $(seq 1 20); do
-  R3="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$BODY" "$ENTRY/v1/plan")" \
-    || { sleep 0.2; continue; }
-  grep -q '"cached":true' <<<"$R3" && { WARM=1; break; }
-  sleep 0.2
-done
-[ -n "$WARM" ] \
-  || { echo "FAIL: no survivor served the dead owner's hot key from a replica copy"; exit 1; }
-REPLICA_READS="$(curl -sf "$ENTRY/metrics" \
-  | awk '$1 == "chronosd_ring_replica_reads_total" {print $2}')"
-[ "${REPLICA_READS:-0}" -ge 1 ] \
-  || { echo "FAIL: chronosd_ring_replica_reads_total=${REPLICA_READS:-0} on $ENTRY, want >= 1"; exit 1; }
-echo "   hot key served warm from its replica copy (replica_reads=$REPLICA_READS)"
-
-SURVIVOR_LOGS=()
+# --- 3. eviction and re-admission ---------------------------------------------
+# SIGKILL a replica that does not own the pool: both survivors' heartbeat
+# monitors evict it within the suspect window and keep planning; restarted
+# on its old port, it is re-admitted.
+VICTIM_PORT="$HOLDER_PORT"
+SURVIVORS=()
 for p in "${PORTS[@]}"; do
-  [ "$p" != "$OWNER_PORT" ] && SURVIVOR_LOGS+=("$LOG_DIR/$p.log")
+  [ "$p" != "$VICTIM_PORT" ] && SURVIVORS+=("$p")
 done
-for log in "${SURVIVOR_LOGS[@]}"; do
-  for _ in $(seq 1 50); do
-    grep -q 'ring member suspected, evicting' "$log" && break
-    sleep 0.2
-  done
-  grep -q 'ring member suspected, evicting' "$log" \
-    || { echo "FAIL: $(basename "$log") never evicted the dead member"; exit 1; }
-done
-echo "   both survivors evicted the dead member from their effective rings"
-
-echo "== restarting the evicted member (:$OWNER_PORT) =="
-start_replica "$OWNER_PORT" "$LOG_DIR/$OWNER_PORT.rejoin.log"
-wait_healthy "$OWNER_PORT"
-for log in "${SURVIVOR_LOGS[@]}"; do
-  for _ in $(seq 1 50); do
-    grep -q 'ring member recovered, re-admitting' "$log" && break
-    sleep 0.2
-  done
-  grep -q 'ring member recovered, re-admitting' "$log" \
-    || { echo "FAIL: $(basename "$log") never re-admitted the recovered member"; exit 1; }
-done
-HANDOFF=0
-for p in "${PORTS[@]}"; do
-  [ "$p" = "$OWNER_PORT" ] && continue
-  n="$(curl -sf "http://127.0.0.1:$p/metrics" \
-    | awk '$1 == "chronosd_ring_handoff_entries_total" {print $2}')"
-  [ "${n:-0}" -ge 1 ] && HANDOFF="$n"
-done
-[ "$HANDOFF" -ge 1 ] \
-  || { echo "FAIL: no survivor streamed remapped cache entries back (handoff_entries=0)"; exit 1; }
-echo "   re-admitted; a survivor handed $HANDOFF remapped hot entries back"
-
 echo
-echo "OK: dead member evicted, hot key served from its replica, rejoin handed the keys back"
+echo "== SIGKILL :$VICTIM_PORT =="
+kill -9 "${PID_OF[$VICTIM_PORT]}"
+unset "PID_OF[$VICTIM_PORT]"
+for p in "${SURVIVORS[@]}"; do
+  wait_log "$LOG_DIR/$p.log" 'ring member suspected, evicting'
+  curl -sf -X POST -H 'Content-Type: application/json' -d "$BODY" "http://127.0.0.1:$p/v1/plan" \
+    | grep -q '"cached":true' || { echo "FAIL: survivor :$p stopped answering from its cache"; exit 1; }
+done
+echo "   both survivors evicted :$VICTIM_PORT and kept serving"
 
-# --- escrow: kill the pool owner, assert lease reclamation -----------------
-# Real admits flow through the fleet (non-owners of the tenant key lease
-# escrow from the pool owner), then a deterministic lease is planted via the
-# internal escrow API: the replica that answers 200 is the pool owner; the
-# others answer 409/not_owner. The owner is then SIGKILLed mid-run — no
-# graceful release, no final snapshot — and restarted from its data dir
+echo "== restarting :$VICTIM_PORT =="
+start_replica "$VICTIM_PORT" "$LOG_DIR/$VICTIM_PORT.rejoin.log"
+wait_healthy "$VICTIM_PORT"
+for p in "${SURVIVORS[@]}"; do
+  wait_log "$LOG_DIR/$p.log" 'ring member recovered, re-admitting'
+done
+echo
+echo "OK: dead member evicted by both survivors, re-admitted after restart"
+
+# --- 4. escrow: kill the pool owner, assert lease reclamation ----------------
+# Real admits flow through the fleet (replicas that do not own the tenant
+# lease escrow from the pool owner), then a deterministic lease is planted at
+# the owner via the internal escrow API. The owner is then SIGKILLed mid-run
+# — no graceful release, no final snapshot — and restarted from its data dir
 # after the lease TTL. Boot replays the snapshot+WAL, finds the expired
 # lease, and conservatively reclaims it: the log line is the proof.
 echo
@@ -227,16 +206,10 @@ for i in 1 2 3 4 5 6; do
 done
 
 LEASE_BODY='{"tenant":"demo","holder":"http://ring-demo-holder.invalid:1","want":500}'
-POOL_OWNER_PORT=""
-for p in "${PORTS[@]}"; do
-  code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-    -H 'Content-Type: application/json' -d "$LEASE_BODY" \
-    "http://127.0.0.1:$p/v1/escrow/lease")"
-  [ "$code" = "200" ] && POOL_OWNER_PORT="$p"
-done
-[ -n "$POOL_OWNER_PORT" ] \
-  || { echo "FAIL: no replica granted the escrow lease (no pool owner?)"; exit 1; }
-echo "   pool owner for tenant 'demo': 127.0.0.1:$POOL_OWNER_PORT"
+curl -sf -X POST -H 'Content-Type: application/json' -d "$LEASE_BODY" \
+  "http://127.0.0.1:$POOL_OWNER_PORT/v1/escrow/lease" | grep -q '"granted":500' \
+  || { echo "FAIL: pool owner :$POOL_OWNER_PORT did not grant the planted lease"; exit 1; }
+echo "   planted a 500 machine-second lease at pool owner :$POOL_OWNER_PORT"
 
 echo "== SIGKILL the pool owner (:$POOL_OWNER_PORT), wait out the 2s lease TTL =="
 kill -9 "${PID_OF[$POOL_OWNER_PORT]}"
